@@ -14,6 +14,7 @@ import argparse
 import math
 import sys
 import time
+from typing import Iterator
 
 from .families import (
     MAX_INCREASING_EDGES,
@@ -36,13 +37,25 @@ from .stirling import (
     stirling_to_tree,
     tree_to_stirling,
 )
-from .tree import classify_edge, edge_id, edge_list, parse_tree, render_tree, tree_stats
+from .tree import (
+    EdgeStatus,
+    _improper_map,
+    edge_id,
+    edge_list,
+    parse_tree,
+    render_tree,
+)
 
 
-def _operand_lines(operand: str) -> list[str]:
+def _operand_lines(operand: str) -> Iterator[str]:
     if operand == "-":
-        return [line for line in sys.stdin.read().splitlines() if line.strip()]
-    return [operand]
+        # line by line as stdin arrives, so memory does not grow with the pipe
+        for line in sys.stdin:
+            for text in line.splitlines():
+                if text.strip():
+                    yield text
+    else:
+        yield operand
 
 
 def _parse_edge_arg(text: str) -> tuple[int, int]:
@@ -64,12 +77,14 @@ def _check_bound(n: int, bound: int, force: bool) -> None:
 
 
 def _cmd_classify(args) -> int:
+    names = {True: EdgeStatus.IMPROPER.value, False: EdgeStatus.PROPER.value}
     for line in _operand_lines(args.tree):
         tree = parse_tree(line)
+        improper = _improper_map(tree.root)
         for eid, parent, child in edge_list(tree):
-            print(f"({parent},{child}): {classify_edge(tree, eid).value}")
-        st = tree_stats(tree)
-        print(f"impr={st.improper} prop={st.proper}")
+            print(f"({parent},{child}): {names[improper[eid]]}")
+        count = sum(improper.values())
+        print(f"impr={count} prop={len(improper) - count}")
     return 0
 
 

@@ -18,6 +18,20 @@ exactly one insertion history; choosing slots uniformly at random therefore
 samples uniformly.  Uniform labeled trees combine a uniform shape (random
 balanced word via the cycle rotation trick) with a uniform labeling.
 
+Increasing trees are grown in place, in one mutable list of children per
+vertex (vertex v carries label v+1), and turned into a :class:`PlaneTree`
+once, with edge ids in first-descent order.  Slots are numbered depth-first:
+vertex v with d children owns slots 0..d, its positions among its children,
+before any slot in its subtrees, and a subtree with s edges spans 2s+1
+slots.  The enumerator walks the slots in that order by backtracking
+(insert, descend, remove), so it yields the trees in the same order as
+rebuilding every tree by path copying did.  The sampler draws a slot number
+with ``rng.randrange(2m-1)`` and descends to it by subtree sizes kept up to
+date on the way down, so a seed maps to the same tree as before; a
+slot-list sampler with O(1) work per leaf would map seeds to other trees.
+Along the descent it still scans the children of each vertex it passes,
+which keeps a sample slightly above linear time.
+
 The bounds below are where exhaustive work stops being a desk-scale job;
 the polynomial layer and the command line refuse larger n unless forced.
 """
@@ -30,7 +44,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterator
 
-from .tree import Node, PlaneTree, preorder
+from .tree import Node, PlaneTree
 
 MAX_LABELED_EDGES = 6      # |labeled family| at 6 is 665,280
 MAX_INCREASING_EDGES = 7   # |increasing family| at 7 is 135,135
@@ -109,7 +123,7 @@ def build_tree(kids: list[list[int]], labels) -> PlaneTree:
     count = len(kids)
     nodes: list[Node] = [None] * count  # type: ignore[list-item]
     for v in range(count - 1, -1, -1):
-        nodes[v] = Node(labels[v], tuple((c - 1, nodes[c]) for c in kids[v]))
+        nodes[v] = Node(labels[v], [(c - 1, nodes[c]) for c in kids[v]])
     return PlaneTree(nodes[0])
 
 
@@ -140,72 +154,67 @@ def insertion_slots(tree: PlaneTree) -> int:
     return sum(len(node.children) + 1 for node in tree.nodes())
 
 
-def _subtree_edge_counts(root: Node) -> dict[int, int]:
-    sizes: dict[int, int] = {}
-    order = list(preorder(root))
-    for node in reversed(order):
-        sizes[id(node)] = sum(sizes[id(c)] + 1 for _, c in node.children)
-    return sizes
+def _preorder(kids: list[list[int]]) -> list[int]:
+    order = []
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        stack.extend(reversed(kids[v]))
+    return order
 
 
-def _insert_leaf(root: Node, slot: int, label: int, eid: int) -> Node:
-    """New tree with a leaf in the given slot.
-
-    Slots are numbered depth-first: vertex v with d children owns slots
-    0..d (positions among its children) before any slot in its subtrees.
-    """
-    sizes = _subtree_edge_counts(root)
-    path: list[tuple[Node, int]] = []
-    node = root
-    pos = slot
-    while True:
-        d = len(node.children)
-        if pos <= d:
-            grown = Node(node.label,
-                         node.children[:pos] + ((eid, Node(label)),)
-                         + node.children[pos:])
-            for parent, at in reversed(path):
-                ch = parent.children
-                grown = Node(parent.label,
-                             ch[:at] + ((ch[at][0], grown),) + ch[at + 1:])
-            return grown
-        pos -= d + 1
-        for at, (_, child) in enumerate(node.children):
-            span = 2 * sizes[id(child)] + 1
-            if pos < span:
-                path.append((node, at))
-                node = child
-                break
-            pos -= span
-        else:
-            raise ValueError("slot out of range")
+def _increasing_tree(kids: list[list[int]]) -> PlaneTree:
+    # vertex v is labeled v+1; the edge into a vertex gets its preorder
+    # position minus one, the first-descent id that build_tree also gives
+    order = _preorder(kids)
+    at = [0] * len(kids)
+    for i, v in enumerate(order):
+        at[v] = i
+    nodes: list[Node] = [None] * len(kids)  # type: ignore[list-item]
+    for v in reversed(order):
+        nodes[v] = Node(v + 1, [(at[c] - 1, nodes[c]) for c in kids[v]])
+    return PlaneTree(nodes[0])
 
 
-def _canonical_ids(root: Node) -> Node:
-    # rebuild so edge ids follow first-descent order, as the parser assigns
-    # them; leaf insertion numbers edges by age instead
-    order = list(preorder(root))
-    index = {id(node): i for i, node in enumerate(order)}
-    rebuilt: dict[int, Node] = {}
-    for node in reversed(order):
-        rebuilt[id(node)] = Node(
-            node.label,
-            tuple((index[id(child)] - 1, rebuilt[id(child)])
-                  for _, child in node.children))
-    return rebuilt[id(root)]
+def _slots(kids: list[list[int]]) -> list[tuple[int, int]]:
+    # depth-first: vertex v with d children owns positions 0..d among its
+    # children before any slot in its subtrees
+    return [(v, pos) for v in _preorder(kids) for pos in range(len(kids[v]) + 1)]
 
 
 def increasing_trees(n: int) -> Iterator[PlaneTree]:
-    """All increasing plane trees with n edges, grown by leaf insertion."""
+    """All increasing plane trees with n edges, grown by leaf insertion.
+
+    A backtracking walk over one set of child lists: the vertex labeled m+1
+    goes into each slot of the tree on 1..m in turn, and comes out again
+    once every tree grown from that placement has been yielded.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
+    kids: list[list[int]] = [[] for _ in range(n + 1)]
     if n == 0:
-        yield PlaneTree(Node(1))
+        yield _increasing_tree(kids)
         return
-    for prev in increasing_trees(n - 1):
-        for slot in range(2 * n - 1):
-            yield PlaneTree(_canonical_ids(
-                _insert_leaf(prev.root, slot, n + 1, n - 1)))
+    # one frame per placed vertex m = len(stack): its slots and the next one
+    stack = [[_slots(kids), 0]]
+    while stack:
+        frame = stack[-1]
+        slots, k = frame
+        if k:
+            v, pos = slots[k - 1]
+            del kids[v][pos]
+        if k == len(slots):
+            stack.pop()
+            continue
+        frame[1] = k + 1
+        v, pos = slots[k]
+        m = len(stack)
+        kids[v].insert(pos, m)
+        if m == n:
+            yield _increasing_tree(kids)
+        else:
+            stack.append([_slots(kids), 0])
 
 
 # ---- uniform sampling ----
@@ -226,7 +235,8 @@ def _random_shape_arrays(n: int, rng: random.Random) -> list[list[int]]:
             low = total
             cut = i
     word = steps[cut + 1:] + steps[:cut + 1]
-    assert word[-1] == -1
+    if word[-1] != -1:
+        raise RuntimeError("rotated step word does not end in a down-step")
     kids: list[list[int]] = [[]]
     stack = [0]
     for st in word[:-1]:
@@ -248,11 +258,27 @@ def _random_labeled_tree(n: int, rng: random.Random) -> PlaneTree:
 
 
 def _random_increasing_tree(n: int, rng: random.Random) -> PlaneTree:
-    root = Node(1)
+    # the same depth-first slot numbering as the enumerator, so that a seed
+    # picks the same tree: descend by subtree sizes to the chosen slot
+    kids: list[list[int]] = [[] for _ in range(n + 1)]
+    size = [0] * (n + 1)  # edges below each vertex
     for m in range(1, n + 1):
-        slot = rng.randrange(2 * m - 1)
-        root = _insert_leaf(root, slot, m + 1, m - 1)
-    return PlaneTree(_canonical_ids(root))
+        pos = rng.randrange(2 * m - 1)
+        v = 0
+        while True:
+            size[v] += 1
+            here = kids[v]
+            if pos <= len(here):
+                here.insert(pos, m)
+                break
+            pos -= len(here) + 1
+            for c in here:
+                span = 2 * size[c] + 1
+                if pos < span:
+                    v = c
+                    break
+                pos -= span
+    return _increasing_tree(kids)
 
 
 def sample_labeled_tree(n: int, seed: int) -> PlaneTree:

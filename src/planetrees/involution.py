@@ -18,6 +18,20 @@ all others y; with ``rooted=True`` the edges at vertex 1, which are never
 improper, are tagged t instead.  :func:`from_increasing` inverts this by
 flipping the x-tagged edges of a tagged increasing tree.  The flips involved
 commute, so each map really is a bijection and the two are mutually inverse.
+
+All three work on one mutable copy of the tree in first-child/next-sibling
+form (Knuth, TAOCP Vol. 1, 2.3.2): they build the arrays once, apply every
+flip in place and build one :class:`PlaneTree` at the end, so a bijection
+costs O(n) rather than the O(n^2) of rebuilding every ancestor per flip.
+Vertices are indexed by preorder position, not by label, because labels
+need only be distinct and positive.  In this form a flip is a constant-size
+rewiring of sibling and child links once i = parent(j) is known.  Parent
+pointers are kept valid only at the two ends of each sibling list, so
+finding i means walking from j to an end of its list.  The walk goes left
+and right at the same time and stops at the nearer end: flipping in
+first-descent order makes A grow by one per flip on a decreasing path, and
+makes C long on a star whose children increase, so a walk to either fixed
+end would make one of those shapes quadratic.
 """
 
 from __future__ import annotations
@@ -31,10 +45,9 @@ from .tree import (
     EdgeRef,
     Node,
     PlaneTree,
-    edge_list,
+    _improper_map,
     edge_path,
     has_canonical_labels,
-    improper_edges,
     is_increasing,
 )
 
@@ -64,20 +77,154 @@ def decompose(tree: PlaneTree, edge: EdgeRef) -> Decomposition:
     )
 
 
+class _SiblingArrays:
+    """A mutable copy of a tree for flipping in place; -1 means none.
+
+    Each vertex keeps its first child and its previous and next siblings.
+    ``parent[v]`` is valid while v is the first or the last child of its
+    parent, and is -1 for the root.  ``edge[v]`` is the id of the edge into
+    v (None for the root) and ``child`` maps each edge id back to v.
+    """
+
+    __slots__ = ("label", "first", "prev", "next", "parent", "edge", "child",
+                 "root")
+
+    def __init__(self, root: Node):
+        label, edge = [], []
+        first, last, prev, next_, parent = [], [], [], [], []
+        child = {}
+        # (edge id, node) pairs as they sit in Node.children, and in step
+        # with them the index of each one's parent
+        stack: list = [(None, root)]
+        above = [-1]
+        while stack:
+            eid, node = stack.pop()
+            p = above.pop()
+            v = len(label)
+            label.append(node.label)
+            edge.append(eid)
+            first.append(-1)
+            last.append(-1)
+            next_.append(-1)
+            parent.append(p)
+            if p < 0:
+                prev.append(-1)
+            else:
+                child[eid] = v
+                # preorder reaches siblings left to right: append to p's list
+                before = last[p]
+                prev.append(before)
+                if before < 0:
+                    first[p] = v
+                else:
+                    next_[before] = v
+                last[p] = v
+            stack.extend(reversed(node.children))
+            above.extend([v] * len(node.children))
+        self.label, self.edge, self.child = label, edge, child
+        self.first, self.prev, self.next = first, prev, next_
+        self.parent = parent
+        self.root = 0
+
+    def flip(self, eid: EdgeRef) -> None:
+        """Apply the involution at one edge, in place."""
+        j = self.child.get(eid)
+        if j is None:
+            raise ValueError(f"no edge with id {eid}")
+        first, prev, next_, parent = self.first, self.prev, self.next, self.parent
+        # i = parent(j), read off whichever end of j's sibling list is nearer
+        a = b = j
+        while prev[a] >= 0 and next_[b] >= 0:
+            a = prev[a]
+            b = next_[b]
+        i = parent[a] if prev[a] < 0 else parent[b]
+
+        a_last, c_first = prev[j], next_[j]
+        b_first = first[j]
+        up_prev, up_next = prev[i], next_[i]
+
+        # j takes i's place among i's siblings, or as the root
+        prev[j], next_[j] = up_prev, up_next
+        if up_prev < 0 or up_next < 0:
+            up = parent[i]  # valid: i is at an end of its list, or the root
+            parent[j] = up
+            if up < 0:
+                self.root = j
+            elif up_prev < 0:
+                first[up] = j
+        if up_prev >= 0:
+            next_[up_prev] = j
+        if up_next >= 0:
+            prev[up_next] = j
+
+        # j's children become A ++ [i] ++ B
+        parent[i] = j
+        if a_last >= 0:
+            a_first = first[i]
+            first[j] = a_first
+            parent[a_first] = j
+            next_[a_last] = i
+        else:
+            first[j] = i
+        prev[i] = a_last
+        next_[i] = b_first
+        if b_first >= 0:
+            prev[b_first] = i
+
+        # i's children become C
+        first[i] = c_first
+        if c_first >= 0:
+            prev[c_first] = -1
+            parent[c_first] = i
+
+        # e now enters i, and i's old incoming edge now enters j
+        edge = self.edge
+        above = edge[i]
+        edge[i], edge[j] = eid, above
+        self.child[eid] = i
+        if above is not None:
+            self.child[above] = j
+
+    def tree(self, tags: dict[EdgeRef, str] | None) -> PlaneTree:
+        label, edge, first, next_ = self.label, self.edge, self.first, self.next
+        nodes: list = [None] * len(label)
+        order = []
+        stack = [self.root]
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            c = first[v]
+            while c >= 0:
+                stack.append(c)
+                c = next_[c]
+        # every vertex comes after its parent in order: reversed, children
+        # are built first
+        for v in reversed(order):
+            kids = []
+            c = first[v]
+            while c >= 0:
+                kids.append((edge[c], nodes[c]))
+                c = next_[c]
+            nodes[v] = Node(label[v], kids)
+        return PlaneTree(nodes[self.root], tags)
+
+
 def flip_edge(tree: PlaneTree, edge: EdgeRef) -> PlaneTree:
     """Apply the involution at one edge; a new tree, input untouched."""
-    path = edge_path(tree.root, edge)
-    parent, idx = path[-1]
-    slots = parent.children
-    eid, child = slots[idx]
-    new_parent = Node(parent.label, slots[idx + 1:])
-    built = Node(child.label,
-                 slots[:idx] + ((eid, new_parent),) + child.children)
-    for ancestor, at in reversed(path[:-1]):
-        ch = ancestor.children
-        built = Node(ancestor.label,
-                     ch[:at] + ((ch[at][0], built),) + ch[at + 1:])
-    return PlaneTree(built, tree.tags)
+    arrays = _SiblingArrays(tree.root)
+    arrays.flip(edge)
+    return arrays.tree(tree.tags)
+
+
+def _flip_x_edges(tree: PlaneTree, tags: dict[EdgeRef, str],
+                  out_tags: dict[EdgeRef, str] | None) -> PlaneTree:
+    # both directions flip the x-tagged edges, in first-descent order, which
+    # is the order of the child ends in preorder before any flip
+    arrays = _SiblingArrays(tree.root)
+    for eid in arrays.edge[1:]:
+        if tags[eid] == IMPROPER_TAG:
+            arrays.flip(eid)
+    return arrays.tree(out_tags)
 
 
 def to_increasing(tree: PlaneTree, rooted: bool = False) -> PlaneTree:
@@ -94,39 +241,38 @@ def to_increasing(tree: PlaneTree, rooted: bool = False) -> PlaneTree:
     if rooted and tree.root.label != 1:
         raise ValueError("rooted mode requires root label 1")
 
-    flips = improper_edges(tree)
-    improper = set(flips)
+    # in rooted mode vertex 1 is the root, and no edge at it is improper
+    at_one = {eid for eid, _ in tree.root.children} if rooted else set()
     tags = {}
-    for eid, p, c in edge_list(tree):
-        if eid in improper:
+    for eid, improper in _improper_map(tree.root).items():
+        if improper:
             tags[eid] = IMPROPER_TAG
-        elif rooted and (p == 1 or c == 1):
+        elif eid in at_one:
             tags[eid] = ROOT_TAG
         else:
             tags[eid] = PROPER_TAG
 
-    out = PlaneTree(tree.root, tags)
-    for eid in flips:
-        out = flip_edge(out, eid)
-    assert is_increasing(out)
+    out = _flip_x_edges(tree, tags, tags)
+    if not is_increasing(out):
+        raise RuntimeError("flipping the improper edges left a decreasing edge")
     return out
 
 
 def from_increasing(tree: PlaneTree) -> PlaneTree:
-    """Invert :func:`to_increasing`; returns the untagged preimage."""
+    """Invert :func:`to_increasing`; returns the untagged preimage.
+
+    Requires an increasing tree on labels 1..n+1 with every edge tagged,
+    and tag t either absent or on exactly the root's edges.
+    """
     if not is_increasing(tree):
         raise ValueError("input tree is not increasing")
+    if not has_canonical_labels(tree):
+        raise ValueError("labels must be exactly 1..n+1")
     tags = tree.tags or {}
-    edges = edge_list(tree)
-    if len(tags) != len(edges):
+    if len(tags) != tree.edge_count:
         raise ValueError("every edge must carry a tag")
-    root_label = tree.root.label
-    for eid, p, c in edges:
-        if tags[eid] == ROOT_TAG and root_label not in (p, c):
-            raise ValueError("tag t is only allowed on edges at the root")
-
-    out = PlaneTree(tree.root, tags)
-    for eid, _, _ in edges:
-        if tags[eid] == IMPROPER_TAG:
-            out = flip_edge(out, eid)
-    return PlaneTree(out.root, None)
+    t_edges = {eid for eid, tag in tags.items() if tag == ROOT_TAG}
+    if t_edges and t_edges != {eid for eid, _ in tree.root.children}:
+        raise ValueError("tag t must be on every edge at the root "
+                         "and nowhere else")
+    return _flip_x_edges(tree, tags, None)

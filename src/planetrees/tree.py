@@ -69,7 +69,7 @@ class PlaneTree:
 
     ``tags`` maps every edge id to one of ``x``/``y``/``t`` on a tagged
     tree and is ``None`` on an untagged one.  Operations on trees never
-    mutate their input; they build new trees that share untouched subtrees.
+    mutate their input; they build new trees.
     """
 
     __slots__ = ("root", "tags")

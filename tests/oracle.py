@@ -1,0 +1,191 @@
+"""Reference implementations kept as the differential oracle.
+
+These are the path-copying versions of the flip, the two bijections, leaf
+insertion, the uniform increasing sampler and the increasing enumerator that
+the library used before its mutable array core.  Each rebuilds the ancestors
+of a changed vertex as new ``Node`` values, so a flip or an insertion costs
+O(n) and a whole bijection or sample O(n^2); that is fine at test sizes.
+They exist only to be compared against the library with ``==``, which checks
+labels, child order, edge ids and tags.
+"""
+
+from __future__ import annotations
+
+import random
+
+from planetrees.tree import (
+    IMPROPER_TAG,
+    PROPER_TAG,
+    ROOT_TAG,
+    Node,
+    PlaneTree,
+    edge_list,
+    has_canonical_labels,
+    improper_edges,
+    is_increasing,
+    preorder,
+)
+
+
+def edge_path(root, edge):
+    """(node, child index) pairs from the root down to the edge's parent."""
+    path = [[root, 0]]
+    while path:
+        node, idx = path[-1]
+        if idx == len(node.children):
+            path.pop()
+            if path:
+                path[-1][1] += 1
+            continue
+        eid, child = node.children[idx]
+        if eid == edge:
+            return [(n, i) for n, i in path]
+        path.append([child, 0])
+    raise ValueError(f"no edge with id {edge}")
+
+
+# ---- the flip and the bijections ----
+
+def flip_edge(tree, edge):
+    path = edge_path(tree.root, edge)
+    parent, idx = path[-1]
+    slots = parent.children
+    eid, child = slots[idx]
+    new_parent = Node(parent.label, slots[idx + 1:])
+    built = Node(child.label,
+                 slots[:idx] + ((eid, new_parent),) + child.children)
+    for ancestor, at in reversed(path[:-1]):
+        ch = ancestor.children
+        built = Node(ancestor.label,
+                     ch[:at] + ((ch[at][0], built),) + ch[at + 1:])
+    return PlaneTree(built, tree.tags)
+
+
+def to_increasing(tree, rooted=False):
+    if tree.is_tagged:
+        raise ValueError("input tree is already tagged")
+    if not has_canonical_labels(tree):
+        raise ValueError("labels must be exactly 1..n+1")
+    if rooted and tree.root.label != 1:
+        raise ValueError("rooted mode requires root label 1")
+    flips = improper_edges(tree)
+    improper = set(flips)
+    tags = {}
+    for eid, p, c in edge_list(tree):
+        if eid in improper:
+            tags[eid] = IMPROPER_TAG
+        elif rooted and (p == 1 or c == 1):
+            tags[eid] = ROOT_TAG
+        else:
+            tags[eid] = PROPER_TAG
+    out = PlaneTree(tree.root, tags)
+    for eid in flips:
+        out = flip_edge(out, eid)
+    if not is_increasing(out):
+        raise RuntimeError("oracle to_increasing produced a non-increasing tree")
+    return out
+
+
+def from_increasing(tree):
+    """The inverse as it validated before: only increasing, fully tagged and
+    t at the root; the library now also checks labels and the t pattern."""
+    if not is_increasing(tree):
+        raise ValueError("input tree is not increasing")
+    tags = tree.tags or {}
+    edges = edge_list(tree)
+    if len(tags) != len(edges):
+        raise ValueError("every edge must carry a tag")
+    root_label = tree.root.label
+    for eid, p, c in edges:
+        if tags[eid] == ROOT_TAG and root_label not in (p, c):
+            raise ValueError("tag t is only allowed on edges at the root")
+    out = PlaneTree(tree.root, tags)
+    for eid, _, _ in edges:
+        if tags[eid] == IMPROPER_TAG:
+            out = flip_edge(out, eid)
+    return PlaneTree(out.root, None)
+
+
+# ---- leaf insertion, the sampler and the enumerator ----
+
+def _subtree_edge_counts(root):
+    sizes = {}
+    order = list(preorder(root))
+    for node in reversed(order):
+        sizes[id(node)] = sum(sizes[id(c)] + 1 for _, c in node.children)
+    return sizes
+
+
+def _insert_leaf(root, slot, label, eid):
+    """Slots are numbered depth-first: vertex v with d children owns slots
+    0..d (positions among its children) before any slot in its subtrees."""
+    sizes = _subtree_edge_counts(root)
+    path = []
+    node = root
+    pos = slot
+    while True:
+        d = len(node.children)
+        if pos <= d:
+            grown = Node(node.label,
+                         node.children[:pos] + ((eid, Node(label)),)
+                         + node.children[pos:])
+            for parent, at in reversed(path):
+                ch = parent.children
+                grown = Node(parent.label,
+                             ch[:at] + ((ch[at][0], grown),) + ch[at + 1:])
+            return grown
+        pos -= d + 1
+        for at, (_, child) in enumerate(node.children):
+            span = 2 * sizes[id(child)] + 1
+            if pos < span:
+                path.append((node, at))
+                node = child
+                break
+            pos -= span
+        else:
+            raise ValueError("slot out of range")
+
+
+def _canonical_ids(root):
+    # edge ids in first-descent order, as the parser assigns them
+    order = list(preorder(root))
+    index = {id(node): i for i, node in enumerate(order)}
+    rebuilt = {}
+    for node in reversed(order):
+        rebuilt[id(node)] = Node(
+            node.label,
+            tuple((index[id(child)] - 1, rebuilt[id(child)])
+                  for _, child in node.children))
+    return rebuilt[id(root)]
+
+
+def increasing_trees(n):
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if n == 0:
+        yield PlaneTree(Node(1))
+        return
+    for prev in increasing_trees(n - 1):
+        for slot in range(2 * n - 1):
+            yield PlaneTree(_canonical_ids(
+                _insert_leaf(prev.root, slot, n + 1, n - 1)))
+
+
+def _random_increasing_tree(n, rng):
+    root = Node(1)
+    for m in range(1, n + 1):
+        slot = rng.randrange(2 * m - 1)
+        root = _insert_leaf(root, slot, m + 1, m - 1)
+    return PlaneTree(_canonical_ids(root))
+
+
+def sample_increasing_tree(n, seed):
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    return _random_increasing_tree(n, random.Random(seed))
+
+
+def sample_increasing_trees(n, seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield _random_increasing_tree(n, rng)

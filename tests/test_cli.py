@@ -11,7 +11,13 @@ from pathlib import Path
 import pytest
 
 import planetrees
-from planetrees import ClosedFormReport, Polynomial
+from planetrees import (
+    ClosedFormReport,
+    Polynomial,
+    classify_edge,
+    edge_list,
+    parse_tree,
+)
 from planetrees.cli import main
 
 from conftest import FIG_INCREASING, FIG_LABELED, FIG_TAGGED, FIG_WALK
@@ -53,6 +59,20 @@ def test_classify_small(capsys):
     assert out == "(3,2): proper\n(3,1): improper\nimpr=1 prop=1\n"
 
 
+def test_classify_matches_classify_edge(capsys):
+    # the one-pass CLI output against classify_edge, edge by edge
+    _, trees, _ = run(capsys, "enum", "P", "--n", "3")
+    for text in trees.splitlines():
+        tree = parse_tree(text)
+        expected = [f"({p},{c}): {classify_edge(tree, eid).value}"
+                    for eid, p, c in edge_list(tree)]
+        impr = sum(1 for line in expected if line.endswith("improper"))
+        expected.append(f"impr={impr} prop={len(expected) - impr}")
+        code, out, _ = run(capsys, "classify", text)
+        assert code == 0
+        assert out == "\n".join(expected) + "\n"
+
+
 def test_classify_parse_error(capsys):
     code, out, err = run(capsys, "classify", "1((")
     assert code == 2
@@ -92,6 +112,13 @@ def test_bij_inverse_golden(capsys):
     code, out, _ = run(capsys, "bij", "inverse", FIG_TAGGED)
     assert code == 0
     assert out == FIG_LABELED + "\n"
+
+
+def test_bij_inverse_rejects_what_forward_never_outputs(capsys):
+    # labels must be 1..n+1, and t must be absent or on every root edge
+    for text in ("2(3:x)", "1(2:t,3:y)"):
+        code, out, err = run(capsys, "bij", "inverse", text)
+        assert code == 2 and out == "" and "error:" in err
 
 
 def test_bij_rooted_golden(capsys):
@@ -144,6 +171,20 @@ def test_stdin_operand(capsys, monkeypatch):
     assert code == 0
     assert out == ("(1,2): proper\nimpr=0 prop=1\n"
                    "(2,1): improper\nimpr=1 prop=0\n")
+
+
+class LineOnlyStdin(io.StringIO):
+    """A stdin that can only be read line by line."""
+
+    def read(self, *args):
+        raise AssertionError("stdin was read whole")
+
+
+def test_stdin_is_streamed_line_by_line(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", LineOnlyStdin("2(1)\n\n  \n" + FIG_LABELED + "\n"))
+    code, out, _ = run(capsys, "bij", "forward", "-")
+    assert code == 0
+    assert out == "1(2:x)\n" + FIG_TAGGED + "\n"
 
 
 def test_stdin_bij_round_trip(capsys, monkeypatch):

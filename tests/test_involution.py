@@ -237,3 +237,7 @@ def test_inverse_errors():
         from_increasing(parse_tree("1(2)"))  # untagged edge
     with pytest.raises(ValueError):
         from_increasing(parse_tree("1(2:y(3:t))"))  # t away from the root
+    with pytest.raises(ValueError):
+        from_increasing(parse_tree("2(3:x)"))  # labels not 1..n+1
+    with pytest.raises(ValueError):
+        from_increasing(parse_tree("1(2:t,3:y)"))  # t on some root edges only

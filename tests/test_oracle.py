@@ -1,0 +1,156 @@
+"""The array core against the path-copying reference in ``oracle.py``.
+
+Every comparison is ``==`` on trees, which checks labels, child order, edge
+ids and tags, so the in-place flip, the two bijections, the increasing
+sampler and the increasing enumerator must give exactly what rebuilding by
+path copying gave.  The scale tests at n = 10^5 run the two shapes on which
+finding a parent by walking its sibling list to one fixed end is quadratic.
+"""
+
+import random
+import re
+
+from hypothesis import given, strategies as st
+
+import oracle
+from planetrees import (
+    Node,
+    PlaneTree,
+    edge_list,
+    flip_edge,
+    from_increasing,
+    increasing_trees,
+    labeled_trees,
+    parse_tree,
+    render_tree,
+    root_one_trees,
+    sample_increasing_tree,
+    sample_increasing_trees,
+    sample_labeled_tree,
+    to_increasing,
+)
+from planetrees.involution import _SiblingArrays
+
+
+def test_flip_matches_oracle_exhaustive():
+    for n in range(5):
+        for tree in labeled_trees(n):
+            for eid, _, _ in edge_list(tree):
+                assert flip_edge(tree, eid) == oracle.flip_edge(tree, eid)
+
+
+def test_flip_matches_oracle_on_any_distinct_labels():
+    tree = parse_tree("1000000000(7,3(12))")
+    for eid, _, _ in edge_list(tree):
+        assert flip_edge(tree, eid) == oracle.flip_edge(tree, eid)
+    tagged = parse_tree("40(9:x(2:y,70:t),5:y)")
+    for eid, _, _ in edge_list(tagged):
+        assert flip_edge(tagged, eid) == oracle.flip_edge(tagged, eid)
+
+
+def test_bijections_match_oracle_exhaustive():
+    for n in range(6):
+        for tree in labeled_trees(n):
+            out = to_increasing(tree)
+            assert out == oracle.to_increasing(tree)
+            back = from_increasing(out)
+            assert back == oracle.from_increasing(out)
+            assert back == tree
+
+
+def test_rooted_bijections_match_oracle_exhaustive():
+    for n in range(6):
+        for tree in root_one_trees(n):
+            out = to_increasing(tree, rooted=True)
+            assert out == oracle.to_increasing(tree, rooted=True)
+            assert from_increasing(out) == oracle.from_increasing(out) == tree
+
+
+@given(st.integers(1, 300), st.integers(0, 10**9))
+def test_random_trees_match_oracle(n, seed):
+    tree = sample_labeled_tree(n, seed)
+    out = to_increasing(tree)
+    assert out == oracle.to_increasing(tree)
+    assert from_increasing(out) == oracle.from_increasing(out) == tree
+    eid = random.Random(seed).randrange(n)
+    assert flip_edge(tree, eid) == oracle.flip_edge(tree, eid)
+    assert flip_edge(out, eid) == oracle.flip_edge(out, eid)
+
+
+@given(st.integers(1, 60), st.integers(0, 10**9))
+def test_flip_sequences_in_any_order_match_oracle(n, seed):
+    # the bijections flip in first-descent order only; the in-place core
+    # must also stay right under any order, repeats included
+    rng = random.Random(seed)
+    tree = sample_labeled_tree(n, seed)
+    arrays = _SiblingArrays(tree.root)
+    expected = tree
+    for _ in range(3 * n):
+        eid = rng.randrange(n)
+        arrays.flip(eid)
+        expected = oracle.flip_edge(expected, eid)
+    assert arrays.tree(None) == expected
+
+
+@given(st.integers(1, 300), st.integers(0, 10**9))
+def test_random_rooted_trees_match_oracle(n, seed):
+    tree = sample_labeled_tree(n, seed)
+    # swap labels so that the root is 1, keeping the shape
+    swap = {tree.root.label: 1, 1: tree.root.label}
+    rooted = parse_tree(re.sub(r"\d+", lambda m: str(swap.get(int(m[0]), m[0])),
+                               render_tree(tree)))
+    out = to_increasing(rooted, rooted=True)
+    assert out == oracle.to_increasing(rooted, rooted=True)
+    assert from_increasing(out) == rooted
+
+
+def test_sampler_matches_oracle():
+    for n in range(201):
+        assert sample_increasing_tree(n, n) == oracle.sample_increasing_tree(n, n)
+
+
+def test_sampler_stream_matches_oracle():
+    assert (list(sample_increasing_trees(30, 1, 200))
+            == list(oracle.sample_increasing_trees(30, 1, 200)))
+
+
+@given(st.integers(0, 200), st.integers(0, 10**9))
+def test_random_seeds_sample_like_oracle(n, seed):
+    assert sample_increasing_tree(n, seed) == oracle.sample_increasing_tree(n, seed)
+
+
+def test_enumerator_matches_oracle_sequence():
+    for n in range(7):
+        assert list(increasing_trees(n)) == list(oracle.increasing_trees(n))
+
+
+# ---- scale: the shapes that defeat a walk to one fixed end ----
+
+BIG = 10**5
+
+
+def _chain(labels):
+    node = Node(labels[-1])
+    for eid in range(len(labels) - 2, -1, -1):
+        node = Node(labels[eid], ((eid, node),))
+    return PlaneTree(node)
+
+
+def test_round_trip_decreasing_path_at_scale():
+    # n+1 -> n -> ... -> 1: every edge is improper, and each flip in
+    # first-descent order adds one vertex to the left siblings of the next
+    tree = _chain(list(range(BIG + 1, 0, -1)))
+    out = to_increasing(tree)
+    assert out.root.label == 1
+    assert sum(1 for tag in out.tags.values() if tag == "x") == BIG
+    assert from_increasing(out) == tree
+
+
+def test_round_trip_increasing_star_at_scale():
+    # root n+1 over 1..n left to right: every edge is improper, and each
+    # flip's child sits at the far left of a long sibling list
+    tree = PlaneTree(Node(BIG + 1, tuple((eid, Node(eid + 1)) for eid in range(BIG))))
+    out = to_increasing(tree)
+    assert out.root.label == 1
+    assert sum(1 for tag in out.tags.values() if tag == "x") == BIG
+    assert from_increasing(out) == tree
