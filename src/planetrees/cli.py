@@ -19,6 +19,9 @@ from typing import Iterator
 from .families import (
     MAX_INCREASING_EDGES,
     MAX_LABELED_EDGES,
+    _increasing_kids,
+    _labelings,
+    _require_bound,
     catalan,
     increasing_trees,
     labeled_trees,
@@ -66,14 +69,6 @@ def _parse_edge_arg(text: str) -> tuple[int, int]:
         return int(parts[0]), int(parts[1])
     except ValueError:
         raise ValueError(f"edge labels must be integers, got {text!r}") from None
-
-
-def _check_bound(n: int, bound: int, force: bool) -> None:
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n > bound and not force:
-        raise ValueError(f"n={n} exceeds the default bound {bound}; "
-                         f"pass --force to run anyway")
 
 
 def _cmd_classify(args) -> int:
@@ -143,8 +138,8 @@ def _verify_thm2(order: int, force: bool) -> int:
 def _verify_counts(ns_labeled, ns_increasing, force: bool) -> int:
     failures = 0
     for n in ns_labeled:
-        _check_bound(n, MAX_LABELED_EDGES, force)
-        seen = sum(1 for _ in labeled_trees(n))
+        _require_bound(n, MAX_LABELED_EDGES, force, "labeled trees")
+        seen = sum(1 for _ in _labelings(n, False))
         lhs = math.factorial(n + 1) * catalan(n)
         rhs = 2 ** n * odd_double_factorial(n)
         ok = seen == lhs == rhs
@@ -152,8 +147,8 @@ def _verify_counts(ns_labeled, ns_increasing, force: bool) -> int:
               f"{seen} = {lhs} = {rhs}")
         failures += 0 if ok else 1
     for n in ns_increasing:
-        _check_bound(n, MAX_INCREASING_EDGES, force)
-        seen = sum(1 for _ in increasing_trees(n))
+        _require_bound(n, MAX_INCREASING_EDGES, force, "increasing trees")
+        seen = sum(1 for _ in _increasing_kids(n))
         expect = odd_double_factorial(n)
         ok = seen == expect
         print(f"counts I n={n} {'PASS' if ok else 'FAIL'} {seen} = {expect}")
@@ -183,20 +178,26 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_enum(args) -> int:
+    n = args.n
     if args.family in ("P", "O"):
-        _check_bound(args.n, MAX_LABELED_EDGES, args.force)
-        items = (labeled_trees if args.family == "P" else root_one_trees)(args.n)
+        _require_bound(n, MAX_LABELED_EDGES, args.force, "labeled trees")
+        rooted = args.family == "O"
+        visits = _labelings(n, rooted)
+        items = root_one_trees(n) if rooted else labeled_trees(n)
         text = render_tree
     elif args.family == "I":
-        _check_bound(args.n, MAX_INCREASING_EDGES, args.force)
-        items = increasing_trees(args.n)
+        _require_bound(n, MAX_INCREASING_EDGES, args.force, "increasing trees")
+        visits = _increasing_kids(n)
+        items = increasing_trees(n)
         text = render_tree
     else:
-        _check_bound(args.n, MAX_INCREASING_EDGES, args.force)
-        items = stirling_permutations(args.n)
+        _require_bound(n, MAX_INCREASING_EDGES, args.force,
+                       "Stirling permutations")
+        visits = items = stirling_permutations(n)
         text = format_permutation
     if args.count_only:
-        print(sum(1 for _ in items))
+        # count the kernel's visits: every object is visited, none is built
+        print(sum(1 for _ in visits))
     else:
         for item in items:
             print(text(item))

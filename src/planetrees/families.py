@@ -7,25 +7,32 @@ Families, for a given number of edges n (labels drawn from 1..n+1):
 * increasing plane trees (every edge goes small to large), counted by
   (2n-1)!!.
 
-All enumerators are streaming generators: memory stays proportional to one
-tree.  Shapes come from the first-subtree decomposition (a shape with n
-edges is a first child's subtree with k edges plus a remaining tree with
-n-1-k edges), labelings are the lexicographic permutations assigned to
-vertices in depth-first order, and increasing trees are grown by inserting
-the next label into each of the 2m+1 child slots of a tree with m edges.
-Removing the largest label is deterministic, so every increasing tree has
-exactly one insertion history; choosing slots uniformly at random therefore
-samples uniformly.  Uniform labeled trees combine a uniform shape (random
-balanced word via the cycle rotation trick) with a uniform labeling.
+Each family is enumerated by a private kernel that visits every object in
+place and builds nothing: ``_labelings`` yields a shape's preorder children
+arrays with each labeling, ``_increasing_kids`` yields the one mutable set
+of child lists of a backtracking walk at each of its leaves.  Counting and
+the polynomial sums run on the kernels; :func:`labeled_trees`,
+:func:`root_one_trees` and :func:`increasing_trees` are thin wrappers that
+build one :class:`PlaneTree` per visit, streaming, so memory stays
+proportional to one tree.  Shapes come from the first-subtree decomposition
+(a shape with n edges is a first child's subtree with k edges plus a
+remaining tree with n-1-k edges), labelings are the lexicographic
+permutations assigned to vertices in depth-first order, and increasing
+trees are grown by inserting the next label into each of the 2m+1 child
+slots of a tree with m edges.  Removing the largest label is
+deterministic, so every increasing tree has exactly one insertion history;
+choosing slots uniformly at random therefore samples uniformly.  Uniform
+labeled trees combine a uniform shape (random balanced word via the cycle
+rotation trick) with a uniform labeling.
 
 Increasing trees are grown in place, in one mutable list of children per
 vertex (vertex v carries label v+1), and turned into a :class:`PlaneTree`
-once, with edge ids in first-descent order.  Slots are numbered depth-first:
+with edge ids in first-descent order.  Slots are numbered depth-first:
 vertex v with d children owns slots 0..d, its positions among its children,
 before any slot in its subtrees, and a subtree with s edges spans 2s+1
-slots.  The enumerator walks the slots in that order by backtracking
-(insert, descend, remove), so it yields the trees in the same order as
-rebuilding every tree by path copying did.  The sampler draws a slot number
+slots.  The kernel walks the slots in that order by backtracking (insert,
+descend, remove), so it visits the trees in the same order as rebuilding
+every tree by path copying did.  The sampler draws a slot number
 with ``rng.randrange(2m-1)`` and descends to it by subtree sizes kept up to
 date on the way down, so a seed maps to the same tree as before; a
 slot-list sampler with O(1) work per leaf would map seeds to other trees.
@@ -33,7 +40,8 @@ Along the descent it still scans the children of each vertex it passes,
 which keeps a sample slightly above linear time.
 
 The bounds below are where exhaustive work stops being a desk-scale job;
-the polynomial layer and the command line refuse larger n unless forced.
+the polynomial layer and the command line refuse larger n unless forced,
+both through :func:`_require_bound`.
 """
 
 from __future__ import annotations
@@ -41,7 +49,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import islice, permutations
 from typing import Iterator
 
 from .tree import Node, PlaneTree
@@ -129,24 +137,45 @@ def build_tree(kids: list[list[int]], labels) -> PlaneTree:
 
 # ---- exhaustive enumeration ----
 
-def labeled_trees(n: int) -> Iterator[PlaneTree]:
-    """All labeled plane trees with n edges, labels 1..n+1."""
+def _require_bound(n: int, bound: int, force: bool, what: str) -> None:
+    """Refuse a negative n, and an n past an exhaustive bound unless forced."""
     if n < 0:
         raise ValueError("n must be >= 0")
+    if n > bound and not force:
+        raise ValueError(
+            f"n={n} exceeds the exhaustive bound {bound} for {what}; "
+            f"force to run anyway (--force)")
+
+
+def _labelings(n: int,
+               root_first: bool) -> Iterator[tuple[list[list[int]], tuple]]:
+    """Kernel: (children arrays, labels) for every shape and labeling.
+
+    Shapes come in :func:`plane_shapes` order and, within a shape, labels
+    are the lexicographic permutations of 1..n+1 by preorder vertex; with
+    ``root_first`` only those with the root labeled 1.  One children array
+    is shared by all labelings of its shape; no tree is built.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    # the permutations of 1..n+1 that start with 1 are the first n! of them
+    per_shape = math.factorial(n) if root_first else math.factorial(n + 1)
     for shape in plane_shapes(n):
         _, kids = shape_arrays(shape)
-        for labels in permutations(range(1, n + 2)):
-            yield build_tree(kids, labels)
+        for labels in islice(permutations(range(1, n + 2)), per_shape):
+            yield kids, labels
+
+
+def labeled_trees(n: int) -> Iterator[PlaneTree]:
+    """All labeled plane trees with n edges, labels 1..n+1."""
+    for kids, labels in _labelings(n, False):
+        yield build_tree(kids, labels)
 
 
 def root_one_trees(n: int) -> Iterator[PlaneTree]:
     """All labeled plane trees with n edges whose root is labeled 1."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    for shape in plane_shapes(n):
-        _, kids = shape_arrays(shape)
-        for rest in permutations(range(2, n + 2)):
-            yield build_tree(kids, (1,) + rest)
+    for kids, labels in _labelings(n, True):
+        yield build_tree(kids, labels)
 
 
 def insertion_slots(tree: PlaneTree) -> int:
@@ -183,18 +212,20 @@ def _slots(kids: list[list[int]]) -> list[tuple[int, int]]:
     return [(v, pos) for v in _preorder(kids) for pos in range(len(kids[v]) + 1)]
 
 
-def increasing_trees(n: int) -> Iterator[PlaneTree]:
-    """All increasing plane trees with n edges, grown by leaf insertion.
+def _increasing_kids(n: int) -> Iterator[list[list[int]]]:
+    """Kernel: the children lists of every increasing tree with n edges.
 
-    A backtracking walk over one set of child lists: the vertex labeled m+1
-    goes into each slot of the tree on 1..m in turn, and comes out again
-    once every tree grown from that placement has been yielded.
+    A backtracking walk over one set of child lists (vertex v carries label
+    v+1): the vertex labeled m+1 goes into each slot of the tree on 1..m in
+    turn, and comes out again once every tree grown from that placement has
+    been visited.  Each visit yields the same mutable lists, valid until the
+    walk resumes.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     kids: list[list[int]] = [[] for _ in range(n + 1)]
     if n == 0:
-        yield _increasing_tree(kids)
+        yield kids
         return
     # one frame per placed vertex m = len(stack): its slots and the next one
     stack = [[_slots(kids), 0]]
@@ -212,9 +243,15 @@ def increasing_trees(n: int) -> Iterator[PlaneTree]:
         m = len(stack)
         kids[v].insert(pos, m)
         if m == n:
-            yield _increasing_tree(kids)
+            yield kids
         else:
             stack.append([_slots(kids), 0])
+
+
+def increasing_trees(n: int) -> Iterator[PlaneTree]:
+    """All increasing plane trees with n edges, grown by leaf insertion."""
+    for kids in _increasing_kids(n):
+        yield _increasing_tree(kids)
 
 
 # ---- uniform sampling ----

@@ -11,13 +11,24 @@ t^(root degree).  Summing over a whole family gives, per n:
 * ``rooted_edge_status_polynomial``  over the root-1 trees,
 * ``root_degree_polynomial``   over the increasing trees.
 
+Enumeration.  These sums visit every object and build no tree.  The two
+edge-status sums run a per-shape histogram over all labelings: one
+right-to-left scan over a vertex's children, starting from its own label,
+marks a child edge improper when the child's subtree minimum is below
+every label met so far, and ends at the vertex's subtree minimum.
+Lexicographic labelings change only a suffix of the preorder positions, so
+each labeling rescans only the vertices whose subtree reaches the first
+changed position.  The root-degree sum reads the root's child list at
+every leaf of the increasing-tree backtracking walk.  The three sums for
+one n are computed once per process and shared by both verifications.
+
 Closed forms.  The first sum collapses to (2n-1)!! (x+y)^n and the second
 to sum_r S[n,r] t^r (x+y)^(n-r), where S[n,r] counts increasing trees with
 n edges and root degree r; :func:`verify_closed_forms` checks both against
-the enumerated sums.  S[n,r] also obeys the slot-counting recurrence
-S[n+1,r] = r S[n,r-1] + (2n-r) S[n,r] (a new leaf either lands in one of
-the root's r slots or in one of the other 2n+1-(r+1)), which is how
-:func:`root_degree_counts` extends the tables past the enumeration bound.
+the enumerated sums, taking S from the enumerated third sum.
+:func:`root_degree_counts` gives S[n,r] past the enumeration bound by
+Lagrange inversion of 1/(1 - t + t sqrt(1-2q)):
+S[n,r] = r (n-1)! C(2n-r-1, n-r) / 2^(n-r) for n >= 1.
 
 Generating functions.  With exact rational coefficients, the three
 exponential generating functions satisfy, written multiplicatively so that
@@ -43,13 +54,15 @@ import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import permutations, repeat
 from typing import Iterable, Iterator
 
 from .families import (
     MAX_INCREASING_EDGES,
     MAX_LABELED_EDGES,
-    increasing_trees,
+    _increasing_kids,
+    _require_bound,
     odd_double_factorial,
     plane_shapes,
     shape_arrays,
@@ -275,38 +288,69 @@ def egf_series(polys: Iterable) -> Series:
 
 # ---- enumerated statistics ----
 
+@cache
+def _first_changes(count: int) -> tuple[int, ...]:
+    """Entry k: the first position where the k-th lexicographic permutation
+    of count items differs from the one before it (0 for k = 0)."""
+    perms = permutations(range(count))
+    prev = next(perms)
+    out = [0]
+    for perm in perms:
+        f = 0
+        while perm[f] == prev[f]:
+            f += 1
+        out.append(f)
+        prev = perm
+    return tuple(out)
+
+
 def _shape_histogram(shape, root_first: bool):
     """Per-shape histogram of the improper-edge count over all labelings.
 
     Returns (root degree, list h) where h[a] counts labelings with exactly
     a improper edges.  With ``root_first`` the root keeps label 1 and only
     the remaining labels permute.
+
+    One right-to-left scan over a vertex's children, starting from its own
+    label, counts its improper child edges and ends at its subtree minimum.
+    Labelings come in lexicographic order, so each changes only a suffix of
+    the preorder positions: only the vertices whose preorder interval
+    reaches the first changed position are rescanned, children first, and
+    the running total moves by the change in each one's count.
     """
-    par, kids = shape_arrays(shape)
-    count = len(par)
-    scan = [(v, tuple(reversed(kids[v]))) for v in range(count) if kids[v]]
+    _, kids = shape_arrays(shape)
+    count = len(kids)
+    end = list(range(1, count + 1))  # one past the last vertex of each subtree
+    for v in range(count - 1, -1, -1):
+        if kids[v]:
+            end[v] = end[kids[v][-1]]
+    # per first changed position: the vertices with children whose interval
+    # reaches it, in reverse preorder (children before parents)
+    scans = [[(v, tuple(reversed(kids[v])))
+              for v in range(count - 1, -1, -1) if kids[v] and end[v] > f]
+             for f in range(count)]
+    first = _first_changes(count)
+    # the permutations of 1..count that start with 1 are the first (count-1)!
+    labelings = math.factorial(count - 1) if root_first else len(first)
     hist = [0] * count
-    if root_first:
-        labelings: Iterable = ((1,) + rest
-                               for rest in permutations(range(2, count + 1)))
-    else:
-        labelings = permutations(range(1, count + 1))
-    for labels in labelings:
-        beta = list(labels)
-        for v in range(count - 1, 0, -1):  # reverse preorder: child before parent
-            b = beta[v]
-            p = par[v]
-            if b < beta[p]:
-                beta[p] = b
-        impr = 0
-        for v, rev in scan:
+    mins = [0] * count  # subtree minimum of each vertex
+    improper = [0] * count
+    total = 0
+    for f, labels in zip(first[:labelings], permutations(range(1, count + 1))):
+        # a leaf is its own minimum; a vertex with children is rescanned below
+        mins[f:] = labels[f:]
+        for v, rev in scans[f]:
             bound = labels[v]
+            here = 0
             for c in rev:
-                bc = beta[c]
-                if bc < bound:
-                    impr += 1
-                    bound = bc
-        hist[impr] += 1
+                m = mins[c]
+                if m < bound:
+                    here += 1
+                    bound = m
+            mins[v] = bound
+            total += here - improper[v]
+            improper[v] = here
+        hist[total] += 1
     return len(kids[0]), hist
 
 
@@ -320,15 +364,6 @@ def _histograms(n: int, root_first: bool, jobs: int) -> Iterator:
     else:
         for shape in shapes:
             yield _shape_histogram(shape, root_first)
-
-
-def _require_bound(n: int, bound: int, force: bool, what: str):
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n > bound and not force:
-        raise ValueError(
-            f"n={n} exceeds the exhaustive bound {bound} for {what}; "
-            f"force to run anyway")
 
 
 def edge_status_polynomial(n: int, *, force: bool = False,
@@ -357,8 +392,28 @@ def rooted_edge_status_polynomial(n: int, *, force: bool = False,
 def root_degree_polynomial(n: int, *, force: bool = False) -> Polynomial:
     """Sum of t^(root degree) over all increasing plane trees with n edges."""
     _require_bound(n, MAX_INCREASING_EDGES, force, "increasing trees")
-    degrees = Counter(len(tree.root.children) for tree in increasing_trees(n))
+    degrees = Counter(len(kids[0]) for kids in _increasing_kids(n))
     return Polynomial({(0, 0, r): c for r, c in degrees.items()})
+
+
+# enumerated (P_n, O_n, S_n) by n, filled once per process
+_ENUMERATED: dict[int, tuple[Polynomial, Polynomial, Polynomial]] = {}
+
+
+def _enumerated_table(n: int, *, force: bool = False, jobs: int = 1):
+    """(P_n, O_n, S_n) by enumeration, computed once per process.
+
+    The table is a pure function of n: ``jobs`` only changes how the first
+    call for an n computes it.  The bound is checked on every call.
+    """
+    _require_bound(n, MAX_LABELED_EDGES, force, "labeled trees")
+    table = _ENUMERATED.get(n)
+    if table is None:
+        table = (edge_status_polynomial(n, force=force, jobs=jobs),
+                 rooted_edge_status_polynomial(n, force=force, jobs=jobs),
+                 root_degree_polynomial(n, force=force))
+        _ENUMERATED[n] = table
+    return table
 
 
 # ---- closed forms ----
@@ -368,19 +423,16 @@ def edge_status_closed_form(n: int) -> Polynomial:
 
 
 def root_degree_counts(n: int) -> dict[int, int]:
-    """Increasing trees with n edges by root degree, via the insertion
-    recurrence; no enumeration, so any n is fine."""
+    """Increasing trees with n edges by root degree, by Lagrange inversion
+    of their generating function; no enumeration, so any n is fine."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    counts = {0: 1}
-    for m in range(n):
-        grown: dict = defaultdict(int)
-        for r, c in counts.items():
-            grown[r + 1] += c * (r + 1)
-            if 2 * m - r > 0:
-                grown[r] += c * (2 * m - r)
-        counts = dict(grown)
-    return counts
+    if n == 0:
+        return {0: 1}
+    # S[n, r] = r (n-1)! C(2n-r-1, n-r) / 2^(n-r), an exact division
+    scale = math.factorial(n - 1)
+    return {r: (r * scale * math.comb(2 * n - r - 1, n - r)) >> (n - r)
+            for r in range(1, n + 1)}
 
 
 def root_degree_closed_form(n: int) -> Polynomial:
@@ -418,9 +470,7 @@ def verify_closed_forms(n: int, *, force: bool = False,
     enumerated increasing-tree polynomial, keeping the two routes
     independent.
     """
-    labeled = edge_status_polynomial(n, force=force, jobs=jobs)
-    rooted = rooted_edge_status_polynomial(n, force=force, jobs=jobs)
-    degrees = root_degree_polynomial(n, force=force)
+    labeled, rooted, degrees = _enumerated_table(n, force=force, jobs=jobs)
     xy = X + Y
     expected_rooted = Polynomial()
     for (_, _, r), c in degrees.coeffs.items():
@@ -449,9 +499,7 @@ class EgfReport:
 
 def _coefficient_table(n: int, source: str):
     if source == "enumerated" or (source == "auto" and n <= MAX_LABELED_EDGES):
-        return (edge_status_polynomial(n),
-                rooted_edge_status_polynomial(n),
-                root_degree_polynomial(n))
+        return _enumerated_table(n)
     return (edge_status_closed_form(n),
             rooted_closed_form(n),
             root_degree_closed_form(n))

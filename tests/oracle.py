@@ -7,11 +7,21 @@ of a changed vertex as new ``Node`` values, so a flip or an insertion costs
 O(n) and a whole bijection or sample O(n^2); that is fine at test sizes.
 They exist only to be compared against the library with ``==``, which checks
 labels, child order, edge ids and tags.
+
+Beside them are the exhaustive routes the library used before its in-place
+enumeration kernels: the labeled enumerators that loop over shapes and
+permutations themselves, the per-shape histogram that recomputes every
+subtree minimum and every improper count for each labeling, and the
+slot-counting recurrence for the root-degree counts.
 """
 
 from __future__ import annotations
 
 import random
+from collections import defaultdict
+from itertools import permutations
+
+from planetrees.families import build_tree, plane_shapes, shape_arrays
 
 from planetrees.tree import (
     IMPROPER_TAG,
@@ -189,3 +199,75 @@ def sample_increasing_trees(n, seed, count):
     rng = random.Random(seed)
     for _ in range(count):
         yield _random_increasing_tree(n, rng)
+
+
+# ---- the exhaustive routes before the enumeration kernels ----
+
+def labelings(n, root_first):
+    """(preorder children arrays, labels) for every shape and labeling."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    for shape in plane_shapes(n):
+        _, kids = shape_arrays(shape)
+        if root_first:
+            for rest in permutations(range(2, n + 2)):
+                yield kids, (1,) + rest
+        else:
+            for labels in permutations(range(1, n + 2)):
+                yield kids, labels
+
+
+def labeled_trees(n):
+    for kids, labels in labelings(n, False):
+        yield build_tree(kids, labels)
+
+
+def root_one_trees(n):
+    for kids, labels in labelings(n, True):
+        yield build_tree(kids, labels)
+
+
+def shape_histogram(shape, root_first):
+    """(root degree, h) with h[a] the labelings with a improper edges, every
+    subtree minimum and every vertex's count computed afresh per labeling."""
+    par, kids = shape_arrays(shape)
+    count = len(par)
+    scan = [(v, tuple(reversed(kids[v]))) for v in range(count) if kids[v]]
+    hist = [0] * count
+    if root_first:
+        labelings = ((1,) + rest for rest in permutations(range(2, count + 1)))
+    else:
+        labelings = permutations(range(1, count + 1))
+    for labels in labelings:
+        beta = list(labels)
+        for v in range(count - 1, 0, -1):  # reverse preorder: child before parent
+            b = beta[v]
+            p = par[v]
+            if b < beta[p]:
+                beta[p] = b
+        impr = 0
+        for v, rev in scan:
+            bound = labels[v]
+            for c in rev:
+                bc = beta[c]
+                if bc < bound:
+                    impr += 1
+                    bound = bc
+        hist[impr] += 1
+    return len(kids[0]), hist
+
+
+def root_degree_counts(n):
+    """S[n+1,r] = r S[n,r-1] + (2n-r) S[n,r]: a new leaf lands in one of the
+    root's r slots or in one of the other 2n+1-(r+1)."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    counts = {0: 1}
+    for m in range(n):
+        grown = defaultdict(int)
+        for r, c in counts.items():
+            grown[r + 1] += c * (r + 1)
+            if 2 * m - r > 0:
+                grown[r] += c * (2 * m - r)
+        counts = dict(grown)
+    return counts

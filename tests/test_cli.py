@@ -229,6 +229,14 @@ def test_verify_all_small(capsys):
     assert "FAIL" not in out
 
 
+def test_verify_all_default_sweep_matches_golden(capsys):
+    # the whole default sweep: counts, thm1 for n <= 6, thm2 to order 10
+    code, out, _ = run(capsys, "verify", "all")
+    assert code == 0
+    golden = Path(__file__).with_name("golden") / "verify_all.txt"
+    assert out == golden.read_text()
+
+
 def test_verify_bound_without_force(capsys):
     code, _, err = run(capsys, "verify", "thm2", "--order", "11")
     assert code == 2 and "error:" in err

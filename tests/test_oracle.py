@@ -1,14 +1,21 @@
-"""The array core against the path-copying reference in ``oracle.py``.
+"""The array core and the enumeration kernels against the references in
+``oracle.py``.
 
-Every comparison is ``==`` on trees, which checks labels, child order, edge
-ids and tags, so the in-place flip, the two bijections, the increasing
+Every tree comparison is ``==`` on trees, which checks labels, child order,
+edge ids and tags, so the in-place flip, the two bijections, the increasing
 sampler and the increasing enumerator must give exactly what rebuilding by
 path copying gave.  The scale tests at n = 10^5 run the two shapes on which
 finding a parent by walking its sibling list to one fixed end is quadratic.
+The enumeration kernels must visit what the old loops built, in the same
+order, and the incremental histogram must count what recomputing every
+labeling from scratch counted.
 """
 
+import math
 import random
 import re
+from collections import Counter
+from itertools import zip_longest
 
 from hypothesis import given, strategies as st
 
@@ -16,6 +23,7 @@ import oracle
 from planetrees import (
     Node,
     PlaneTree,
+    Polynomial,
     edge_list,
     flip_edge,
     from_increasing,
@@ -23,13 +31,21 @@ from planetrees import (
     labeled_trees,
     parse_tree,
     render_tree,
+    root_degree_counts,
+    root_degree_polynomial,
     root_one_trees,
     sample_increasing_tree,
     sample_increasing_trees,
     sample_labeled_tree,
     to_increasing,
 )
+from planetrees.families import (
+    _increasing_kids,
+    _labelings,
+    plane_shapes,
+)
 from planetrees.involution import _SiblingArrays
+from planetrees.polynomials import _shape_histogram
 
 
 def test_flip_matches_oracle_exhaustive():
@@ -122,6 +138,63 @@ def test_random_seeds_sample_like_oracle(n, seed):
 def test_enumerator_matches_oracle_sequence():
     for n in range(7):
         assert list(increasing_trees(n)) == list(oracle.increasing_trees(n))
+
+
+# ---- the enumeration kernels and the incremental histogram ----
+
+def _same_stream(got, expected):
+    missing = object()
+    count = 0
+    for a, b in zip_longest(got, expected, fillvalue=missing):
+        assert a == b, f"item {count}: {a!r} != {b!r}"
+        count += 1
+    return count
+
+
+def test_incremental_histogram_matches_oracle_every_shape():
+    for n in range(7):
+        for shape in plane_shapes(n):
+            for root_first in (False, True):
+                assert (_shape_histogram(shape, root_first)
+                        == oracle.shape_histogram(shape, root_first))
+
+
+def test_labelings_kernel_matches_oracle_stream():
+    # equal streams have equal lengths, so this also pins the kernel's visit
+    # count to the old loops'; the wrappers build one tree per pair with the
+    # same build_tree, so equal streams give equal tree sequences
+    for n in range(7):
+        for root_first in (False, True):
+            assert _same_stream(_labelings(n, root_first),
+                                oracle.labelings(n, root_first))
+
+
+def test_labeled_wrappers_match_oracle_sequences():
+    for n in range(6):
+        assert _same_stream(labeled_trees(n), oracle.labeled_trees(n))
+    for n in range(7):
+        assert _same_stream(root_one_trees(n), oracle.root_one_trees(n))
+
+
+def test_increasing_kernel_matches_oracle_lengths_and_root_degrees():
+    # one pass over the oracle trees per n gives both the sequence length
+    # and the root-degree Counter
+    for n in range(8):
+        degrees = Counter(len(tree.root.children)
+                          for tree in oracle.increasing_trees(n))
+        assert sum(1 for _ in _increasing_kids(n)) == sum(degrees.values())
+        assert root_degree_polynomial(n) == Polynomial(
+            {(0, 0, r): c for r, c in degrees.items()})
+
+
+def test_root_degree_closed_form_matches_recurrence():
+    for n in range(60):
+        assert root_degree_counts(n) == oracle.root_degree_counts(n)
+    # the closed form divides by 2^(n-r); that division leaves no remainder
+    for n in range(1, 200):
+        for r in range(1, n + 1):
+            top = r * math.factorial(n - 1) * math.comb(2 * n - r - 1, n - r)
+            assert top % 2 ** (n - r) == 0
 
 
 # ---- scale: the shapes that defeat a walk to one fixed end ----

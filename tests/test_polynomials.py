@@ -30,6 +30,7 @@ from planetrees import (
     verify_closed_forms,
     verify_egf_identities,
 )
+from planetrees import polynomials
 
 
 # ---- arithmetic ----
@@ -188,7 +189,7 @@ def test_closed_form_matches_enumeration():
         assert report.labeled_ok and report.rooted_ok and report.passed
 
 
-def test_root_degree_recurrence_matches_enumeration():
+def test_root_degree_closed_form_matches_enumeration():
     for n in range(7):
         enumerated = {c: v for (_, _, c), v in root_degree_polynomial(n).coeffs.items()}
         assert root_degree_counts(n) == enumerated
@@ -253,6 +254,17 @@ def test_egf_identities_enumerated():
 def test_egf_identities_closed():
     report = verify_egf_identities(MAX_SERIES_ORDER, source="closed")
     assert report.passed
+
+
+def test_enumerated_table_memo_is_transparent():
+    warm = verify_egf_identities(6, source="enumerated")
+    polynomials._ENUMERATED.clear()
+    cold = verify_egf_identities(6, source="enumerated")
+    assert cold == warm
+    for n in range(7):
+        assert polynomials._enumerated_table(n) == (
+            edge_status_polynomial(n), rooted_edge_status_polynomial(n),
+            root_degree_polynomial(n))
 
 
 def test_egf_identities_auto_mixes_sources():
