@@ -11,7 +11,6 @@ from .tree import (
     TreeParseError,
     TreeStats,
     classify_edge,
-    classify_edge_by_min_sets,
     edge_id,
     edge_list,
     has_canonical_labels,
@@ -23,8 +22,6 @@ from .tree import (
     tree_stats,
 )
 from .involution import (
-    Decomposition,
-    decompose,
     flip_edge,
     from_increasing,
     to_increasing,
@@ -36,7 +33,6 @@ from .families import (
     catalan,
     family_count,
     increasing_trees,
-    insertion_slots,
     labeled_trees,
     odd_double_factorial,
     plane_shapes,
@@ -80,13 +76,12 @@ from .stirling import (
 
 __all__ = [
     "EdgeRef", "EdgeStatus", "Node", "PlaneTree", "TreeParseError",
-    "TreeStats", "classify_edge", "classify_edge_by_min_sets", "edge_id",
-    "edge_list", "has_canonical_labels", "improper_edges", "is_increasing",
-    "parse_tree", "render_tree", "subtree_min", "tree_stats",
-    "Decomposition", "decompose", "flip_edge", "from_increasing",
-    "to_increasing",
+    "TreeStats", "classify_edge", "edge_id", "edge_list",
+    "has_canonical_labels", "improper_edges", "is_increasing", "parse_tree",
+    "render_tree", "subtree_min", "tree_stats",
+    "flip_edge", "from_increasing", "to_increasing",
     "MAX_INCREASING_EDGES", "MAX_LABELED_EDGES", "FamilyCount", "catalan",
-    "family_count", "increasing_trees", "insertion_slots", "labeled_trees",
+    "family_count", "increasing_trees", "labeled_trees",
     "odd_double_factorial", "plane_shapes", "root_one_trees",
     "sample_increasing_tree", "sample_increasing_trees",
     "sample_labeled_tree", "sample_labeled_trees",

@@ -178,11 +178,6 @@ def root_one_trees(n: int) -> Iterator[PlaneTree]:
         yield build_tree(kids, labels)
 
 
-def insertion_slots(tree: PlaneTree) -> int:
-    """Number of child positions available for a new leaf: 2n+1 for n edges."""
-    return sum(len(node.children) + 1 for node in tree.nodes())
-
-
 def _preorder(kids: list[list[int]]) -> list[int]:
     order = []
     stack = [0]

@@ -36,8 +36,6 @@ end would make one of those shapes quadratic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .tree import (
     IMPROPER_TAG,
     PROPER_TAG,
@@ -46,35 +44,9 @@ from .tree import (
     Node,
     PlaneTree,
     _improper_map,
-    edge_path,
     has_canonical_labels,
     is_increasing,
 )
-
-
-@dataclass(frozen=True)
-class Decomposition:
-    """The five pieces a tree splits into at one edge."""
-
-    parent: Node            # the edge's parent endpoint
-    child: Node             # the edge's child endpoint
-    edge: EdgeRef
-    left: tuple             # (edge id, subtree) pairs on the child's left siblings
-    below: tuple            # (edge id, subtree) pairs on the child's children
-    right: tuple            # (edge id, subtree) pairs on the child's right siblings
-
-
-def decompose(tree: PlaneTree, edge: EdgeRef) -> Decomposition:
-    parent, idx = edge_path(tree.root, edge)[-1]
-    _, child = parent.children[idx]
-    return Decomposition(
-        parent=parent,
-        child=child,
-        edge=edge,
-        left=parent.children[:idx],
-        below=child.children,
-        right=parent.children[idx + 1:],
-    )
 
 
 class _SiblingArrays:
@@ -269,7 +241,9 @@ def from_increasing(tree: PlaneTree) -> PlaneTree:
     if not has_canonical_labels(tree):
         raise ValueError("labels must be exactly 1..n+1")
     tags = tree.tags or {}
-    if len(tags) != tree.edge_count:
+    # the tags must be keyed by exactly the tree's edge ids
+    ids = [eid for node in tree.nodes() for eid, _ in node.children]
+    if len(tags) != len(ids) or tags.keys() != set(ids):
         raise ValueError("every edge must carry a tag")
     t_edges = {eid for eid, tag in tags.items() if tag == ROOT_TAG}
     if t_edges and t_edges != {eid for eid, _ in tree.root.children}:

@@ -12,6 +12,13 @@ splits into as many nested blocks as the root has children; a block of a
 Stirling permutation is a maximal balanced factor.  The inverse reads the
 word left to right: the first copy of v opens a child labeled v+1, the
 second copy closes it.
+
+That reading is written once, as a private stack walk (``_stirling_kids``)
+that validates a word in a single pass and returns the child lists of the
+increasing tree it encodes.  :func:`is_stirling`, :func:`blocks`,
+:func:`stirling_to_tree` and :func:`block_table` all read it, and the tree
+is assembled by ``families._increasing_tree``, as for the increasing-tree
+enumerator and sampler.
 """
 
 from __future__ import annotations
@@ -19,7 +26,8 @@ from __future__ import annotations
 from collections import Counter
 from typing import Sequence
 
-from .tree import Node, PlaneTree, has_canonical_labels, is_increasing
+from .families import _increasing_tree
+from .tree import PlaneTree, has_canonical_labels, is_increasing
 
 
 def parse_permutation(text: str) -> tuple[int, ...]:
@@ -43,44 +51,50 @@ def format_permutation(seq: Sequence[int]) -> str:
     return " ".join(str(v) for v in seq)
 
 
+def _stirling_kids(seq: Sequence[int]) -> list[list[int]] | None:
+    """Child lists of the increasing tree that seq encodes (vertex v carries
+    label v+1), or None when seq is not a Stirling permutation."""
+    if len(seq) % 2:
+        return None
+    n = len(seq) // 2
+    kids: list[list[int]] = [[] for _ in range(n + 1)]
+    opened = bytearray(n + 1)
+    stack = [0]  # the root, then the values opened and not yet closed
+    for v in seq:
+        if not 1 <= v <= n:
+            return None
+        top = stack[-1]
+        if v == top:
+            stack.pop()            # second copy closes the top
+        elif opened[v] or v < top:
+            return None            # a stray second or third copy, or a descent
+        else:
+            opened[v] = 1          # first copy opens child v+1 under the top
+            kids[top].append(v)
+            stack.append(v)
+    return kids if len(stack) == 1 else None
+
+
 def is_stirling(seq: Sequence[int]) -> bool:
     """True iff seq is a Stirling permutation of {1,1,...,n,n} for some n."""
-    if len(seq) % 2:
-        return False
-    n = len(seq) // 2
-    if Counter(seq) != Counter({v: 2 for v in range(1, n + 1)}):
-        return False
-    stack: list[int] = []
-    for v in seq:
-        if stack and stack[-1] == v:
-            stack.pop()            # second copy closes
-        else:
-            if stack and v < stack[-1]:
-                return False       # descent into an open value
-            stack.append(v)
-    return not stack
+    return _stirling_kids(seq) is not None
+
+
+def _checked_kids(seq: Sequence[int]) -> list[list[int]]:
+    kids = _stirling_kids(seq)
+    if kids is None:
+        raise ValueError("not a Stirling permutation")
+    return kids
 
 
 def blocks(seq: Sequence[int]) -> list[tuple[int, int]]:
     """Maximal balanced factors of a Stirling permutation, as half-open
     index ranges."""
-    if not is_stirling(seq):
-        raise ValueError("not a Stirling permutation")
-    out = []
-    depth = 0
-    start = 0
-    seen: set[int] = set()
-    for i, v in enumerate(seq):
-        if v in seen:
-            depth -= 1
-            if depth == 0:
-                out.append((start, i + 1))
-                start = i + 1
-                seen.clear()
-        else:
-            seen.add(v)
-            depth += 1
-    return out
+    # a block is one child of the root: it starts at the child's first copy
+    # and ends at its second, and the root's children do not nest
+    outer = set(_checked_kids(seq)[0])
+    marks = [i for i, v in enumerate(seq) if v in outer]
+    return [(marks[k], marks[k + 1] + 1) for k in range(0, len(marks), 2)]
 
 
 def tree_to_stirling(tree: PlaneTree) -> tuple[int, ...]:
@@ -112,27 +126,7 @@ def tree_to_stirling(tree: PlaneTree) -> tuple[int, ...]:
 def stirling_to_tree(seq: Sequence[int]) -> PlaneTree:
     """Inverse walk: first copy of v opens a child labeled v+1 under the
     current vertex, second copy closes it."""
-    if not is_stirling(seq):
-        raise ValueError("not a Stirling permutation")
-    # frames of (label, children-so-far); edge ids follow the walk, which
-    # is exactly first-descent order
-    frames: list[tuple[int, list]] = [(1, [])]
-    open_labels: list[int] = []
-    eid = 0
-    for v in seq:
-        label = v + 1
-        if open_labels and open_labels[-1] == label:
-            open_labels.pop()
-            closed_label, closed_children = frames.pop()
-            node = Node(closed_label, tuple(closed_children))
-            frames[-1][1][-1] = (frames[-1][1][-1][0], node)
-        else:
-            frames[-1][1].append((eid, None))
-            frames.append((label, []))
-            open_labels.append(label)
-            eid += 1
-    root_label, root_children = frames[0]
-    return PlaneTree(Node(root_label, tuple(root_children)))
+    return _increasing_tree(_checked_kids(seq))
 
 
 def stirling_permutations(n: int):
@@ -151,4 +145,6 @@ def stirling_permutations(n: int):
 
 def block_table(n: int) -> Counter:
     """Distribution of the block count over all order-n permutations."""
-    return Counter(len(blocks(seq)) for seq in stirling_permutations(n))
+    # the blocks are the root's children
+    return Counter(len(_stirling_kids(seq)[0])
+                   for seq in stirling_permutations(n))

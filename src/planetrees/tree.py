@@ -17,11 +17,13 @@ tagged or fully untagged.
 
 An edge (parent, child) is *improper* when the smallest label in the child's
 subtree is smaller than both the parent's label and every label in the
-subtrees of the child's right siblings; otherwise it is *proper*.  Two
-equivalent tests are implemented: :func:`classify_edge` compares the child's
-subtree minimum against the bound, and :func:`classify_edge_by_min_sets`
-compares minima of the two explicit label sets.  They must always agree and
-the second serves as a debug cross-check.
+subtrees of the child's right siblings; otherwise it is *proper*.  The rule
+is implemented once, as one right-to-left scan over each vertex's children
+(``_improper_map``): the bound starts at the vertex's label and drops to each
+smaller child subtree minimum, a drop marks that child's edge improper, and
+the final bound is the vertex's own subtree minimum.  Every query here goes
+through that scan; a cross-check that compares the minima of the two
+explicit label sets lives with the tests.
 """
 
 from __future__ import annotations
@@ -284,92 +286,36 @@ def edge_id(tree: PlaneTree, parent_label: int, child_label: int) -> EdgeRef:
     raise ValueError(f"no edge ({parent_label},{child_label})")
 
 
-def edge_path(root: Node, edge: EdgeRef) -> list[tuple[Node, int]]:
-    """Descent path ending at the edge: (node, child index) pairs from the
-    root down to the edge's parent endpoint.  Raises if the id is absent."""
-    path: list[list] = [[root, 0]]
-    while path:
-        node, idx = path[-1]
-        if idx == len(node.children):
-            path.pop()
-            if path:
-                path[-1][1] += 1
-            continue
-        eid, child = node.children[idx]
-        if eid == edge:
-            return [(n, i) for n, i in path]
-        path.append([child, 0])
-    raise ValueError(f"no edge with id {edge}")
-
-
-def _min_label(root: Node) -> int:
-    m = root.label
-    for node in preorder(root):
-        if node.label < m:
-            m = node.label
-    return m
-
-
 def subtree_min(tree: PlaneTree, label: int) -> int:
     """Smallest label in the subtree rooted at the given vertex."""
-    return _min_label(tree.node(label))
+    return min(node.label for node in preorder(tree.node(label)))
 
 
 def _improper_map(root: Node) -> dict[EdgeRef, bool]:
-    order = list(preorder(root))
-    mins: dict[int, int] = {}
-    # reverse preorder visits every child before its parent
-    for node in reversed(order):
-        m = node.label
-        for _, child in node.children:
-            cm = mins[id(child)]
-            if cm < m:
-                m = cm
-        mins[id(node)] = m
+    """Whether each edge is improper, in one pass over the tree."""
+    mins: dict[int, int] = {}  # subtree minimum by id(node)
     status = {}
-    for node in order:
-        # right-to-left: bound = min(parent label, right-sibling subtree minima)
+    # reverse preorder visits every child before its parent
+    for node in reversed(list(preorder(root))):
+        # right to left: bound = min(own label, right-sibling subtree minima)
         bound = node.label
         for eid, child in reversed(node.children):
-            cm = mins[id(child)]
-            if cm < bound:
+            m = mins[id(child)]
+            if m < bound:
                 status[eid] = True
-                bound = cm
+                bound = m
             else:
                 status[eid] = False
+        mins[id(node)] = bound
     return status
 
 
 def classify_edge(tree: PlaneTree, edge: EdgeRef) -> EdgeStatus:
-    """Status of one edge, by subtree-minimum comparison."""
-    parent, idx = edge_path(tree.root, edge)[-1]
-    _, child = parent.children[idx]
-    bound = parent.label
-    for _, sibling in parent.children[idx + 1:]:
-        sm = _min_label(sibling)
-        if sm < bound:
-            bound = sm
-    if _min_label(child) < bound:
-        return EdgeStatus.IMPROPER
-    return EdgeStatus.PROPER
-
-
-def classify_edge_by_min_sets(tree: PlaneTree, edge: EdgeRef) -> EdgeStatus:
-    """Debug cross-check for :func:`classify_edge` via explicit label sets.
-
-    Builds the set of labels weakly below the edge and the set holding the
-    parent label together with all labels in right-sibling subtrees, then
-    compares their minima.  Labels are distinct, so ties cannot occur.
-    """
-    parent, idx = edge_path(tree.root, edge)[-1]
-    _, child = parent.children[idx]
-    below = {node.label for node in preorder(child)}
-    against = {parent.label}
-    for _, sibling in parent.children[idx + 1:]:
-        against.update(node.label for node in preorder(sibling))
-    if min(below) > min(against):
-        return EdgeStatus.PROPER
-    return EdgeStatus.IMPROPER
+    """Status of one edge; classifies the whole tree, so O(n) per call."""
+    improper = _improper_map(tree.root).get(edge)
+    if improper is None:
+        raise ValueError(f"no edge with id {edge}")
+    return EdgeStatus.IMPROPER if improper else EdgeStatus.PROPER
 
 
 def improper_edges(tree: PlaneTree) -> list[EdgeRef]:
@@ -400,5 +346,6 @@ def is_increasing(tree: PlaneTree) -> bool:
 
 def has_canonical_labels(tree: PlaneTree) -> bool:
     """True when the labels are exactly 1..n+1 for a tree with n edges."""
-    labels = tree.labels()
-    return labels == set(range(1, len(labels) + 1))
+    # against the vertex count: a repeated label shrinks the set, not the count
+    labels = [node.label for node in tree.nodes()]
+    return set(labels) == set(range(1, len(labels) + 1))

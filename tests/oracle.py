@@ -13,17 +13,25 @@ enumeration kernels: the labeled enumerators that loop over shapes and
 permutations themselves, the per-shape histogram that recomputes every
 subtree minimum and every improper count for each labeling, and the
 slot-counting recurrence for the root-degree counts.
+
+Last come the helpers that only tests need: the edge classifier by the
+minima of two explicit label sets, the five-piece decomposition of a tree
+at one edge, and the Stirling walk as it was before the library's single
+stack walk (a multiplicity check by ``Counter`` and then a stack, blocks by
+a second walk with a ``seen`` set, and decoding through bracket frames).
 """
 
 from __future__ import annotations
 
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
+from dataclasses import dataclass
 from itertools import permutations
 
 from planetrees.families import build_tree, plane_shapes, shape_arrays
 
 from planetrees.tree import (
+    EdgeStatus,
     IMPROPER_TAG,
     PROPER_TAG,
     ROOT_TAG,
@@ -271,3 +279,107 @@ def root_degree_counts(n):
                 grown[r] += c * (2 * m - r)
         counts = dict(grown)
     return counts
+
+
+# ---- test-only helpers: a second classifier and the decomposition ----
+
+def classify_edge_by_min_sets(tree, edge):
+    """Compare the minimum of the labels weakly below the edge with the
+    minimum of the parent label and every right-sibling subtree label."""
+    parent, idx = edge_path(tree.root, edge)[-1]
+    _, child = parent.children[idx]
+    below = {node.label for node in preorder(child)}
+    against = {parent.label}
+    for _, sibling in parent.children[idx + 1:]:
+        against.update(node.label for node in preorder(sibling))
+    if min(below) > min(against):
+        return EdgeStatus.PROPER
+    return EdgeStatus.IMPROPER
+
+
+@dataclass(frozen=True)
+class Decomposition:
+    """The five pieces a tree splits into at one edge."""
+
+    parent: Node            # the edge's parent endpoint
+    child: Node             # the edge's child endpoint
+    edge: int
+    left: tuple             # (edge id, subtree) pairs on the child's left siblings
+    below: tuple            # (edge id, subtree) pairs on the child's children
+    right: tuple            # (edge id, subtree) pairs on the child's right siblings
+
+
+def decompose(tree, edge):
+    parent, idx = edge_path(tree.root, edge)[-1]
+    _, child = parent.children[idx]
+    return Decomposition(
+        parent=parent,
+        child=child,
+        edge=edge,
+        left=parent.children[:idx],
+        below=child.children,
+        right=parent.children[idx + 1:],
+    )
+
+
+# ---- the Stirling walk before the single stack walk ----
+
+def is_stirling(seq):
+    if len(seq) % 2:
+        return False
+    n = len(seq) // 2
+    if Counter(seq) != Counter({v: 2 for v in range(1, n + 1)}):
+        return False
+    stack = []
+    for v in seq:
+        if stack and stack[-1] == v:
+            stack.pop()            # second copy closes
+        else:
+            if stack and v < stack[-1]:
+                return False       # descent into an open value
+            stack.append(v)
+    return not stack
+
+
+def blocks(seq):
+    if not is_stirling(seq):
+        raise ValueError("not a Stirling permutation")
+    out = []
+    depth = 0
+    start = 0
+    seen = set()
+    for i, v in enumerate(seq):
+        if v in seen:
+            depth -= 1
+            if depth == 0:
+                out.append((start, i + 1))
+                start = i + 1
+                seen.clear()
+        else:
+            seen.add(v)
+            depth += 1
+    return out
+
+
+def stirling_to_tree(seq):
+    if not is_stirling(seq):
+        raise ValueError("not a Stirling permutation")
+    # frames of (label, children-so-far); edge ids follow the walk, which
+    # is exactly first-descent order
+    frames = [(1, [])]
+    open_labels = []
+    eid = 0
+    for v in seq:
+        label = v + 1
+        if open_labels and open_labels[-1] == label:
+            open_labels.pop()
+            closed_label, closed_children = frames.pop()
+            node = Node(closed_label, tuple(closed_children))
+            frames[-1][1][-1] = (frames[-1][1][-1][0], node)
+        else:
+            frames[-1][1].append((eid, None))
+            frames.append((label, []))
+            open_labels.append(label)
+            eid += 1
+    root_label, root_children = frames[0]
+    return PlaneTree(Node(root_label, tuple(root_children)))

@@ -12,7 +12,6 @@ from planetrees import (
     family_count,
     has_canonical_labels,
     increasing_trees,
-    insertion_slots,
     is_increasing,
     labeled_trees,
     odd_double_factorial,
@@ -25,6 +24,7 @@ from planetrees import (
     sample_labeled_tree,
     sample_labeled_trees,
 )
+from planetrees.families import _increasing_kids, _slots
 
 
 def test_catalan_values():
@@ -116,10 +116,11 @@ def test_root_one_matches_filtered_labeled():
 
 
 def test_insertion_slots_counts_gaps():
-    # a tree with m edges offers 2m+1 places to hang a new leaf
+    # a tree with m edges offers 2m+1 places to hang a new leaf, each once
     for n in range(5):
-        for tree in increasing_trees(n):
-            assert insertion_slots(tree) == 2 * n + 1
+        for kids in _increasing_kids(n):
+            slots = _slots(kids)
+            assert len(slots) == len(set(slots)) == 2 * n + 1
 
 
 def test_increasing_growth_covers_every_slot():

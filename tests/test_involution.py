@@ -12,8 +12,8 @@ from hypothesis import given, strategies as st
 
 from planetrees import (
     EdgeStatus,
+    PlaneTree,
     classify_edge,
-    decompose,
     edge_id,
     edge_list,
     flip_edge,
@@ -30,36 +30,14 @@ from planetrees import (
     tree_stats,
 )
 
+from planetrees.tree import preorder
+
+import oracle
 from conftest import FIG_LABELED, FIG_TAGGED
 
 
 def statuses(tree):
     return {e: classify_edge(tree, e) for e, _, _ in edge_list(tree)}
-
-
-# ---- decompose ----
-
-def test_decompose_figure():
-    tree = parse_tree(FIG_LABELED)
-    dec = decompose(tree, edge_id(tree, 5, 3))
-    assert dec.parent.label == 5
-    assert dec.child.label == 3
-    assert [render_tree_from(node) for _, node in dec.left] == ["1(7)"]
-    assert [node.label for _, node in dec.below] == [8, 2, 6, 4]
-    assert dec.right == ()
-
-
-def test_decompose_leaf_edge():
-    tree = parse_tree("3(2,1)")
-    dec = decompose(tree, edge_id(tree, 3, 1))
-    assert [node.label for _, node in dec.left] == [2]
-    assert dec.below == ()
-    assert dec.right == ()
-
-
-def render_tree_from(node):
-    from planetrees import PlaneTree
-    return render_tree(PlaneTree(node))
 
 
 # ---- single flips ----
@@ -91,6 +69,53 @@ def test_flip_chain_reaches_increasing_form():
         "1(2(5,8,3(6,4)),7)",
     ]
     assert is_increasing(tree)
+
+
+def _place(root, label):
+    """(parent label, child index, incoming edge id) of a vertex."""
+    if root.label == label:
+        return None, 0, None
+    for node in preorder(root):
+        for k, (eid, child) in enumerate(node.children):
+            if child.label == label:
+                return node.label, k, eid
+    raise ValueError(f"no vertex labeled {label}")
+
+
+def _subtrees(children):
+    return [(eid, PlaneTree(node)) for eid, node in children]
+
+
+def test_flip_rewires_as_documented():
+    # the module docstring's rewiring at e = (i, j), piece by piece, against
+    # the pieces A (left), B (below) and C (right) of the input at e
+    for n in range(1, 5):
+        for tree in labeled_trees(n):
+            for e, i, j in edge_list(tree):
+                pieces = oracle.decompose(tree, e)
+                out = flip_edge(tree, e)
+                # j sits where i was, under i's former parent edge
+                assert _place(out.root, j) == _place(tree.root, i)
+                # j's children are roots(A) ++ [i] ++ roots(B), i's are roots(C)
+                assert _subtrees(out.node(j).children) == (
+                    _subtrees(pieces.left) + [(e, PlaneTree(out.node(i)))]
+                    + _subtrees(pieces.below))
+                assert _subtrees(out.node(i).children) == _subtrees(pieces.right)
+                # ids: e now joins j to i, i's old edge enters j, the A edges
+                # leave j, and every other edge keeps both ends
+                up = _place(tree.root, i)[2]
+                left = {eid for eid, _ in pieces.left}
+                moved = set()
+                for eid, p, c in edge_list(tree):
+                    if eid == e:
+                        moved.add((e, j, i))
+                    elif eid == up:
+                        moved.add((eid, p, j))
+                    elif eid in left:
+                        moved.add((eid, j, c))
+                    else:
+                        moved.add((eid, p, c))
+                assert set(edge_list(out)) == moved
 
 
 def test_flip_preserves_edge_identity():
@@ -241,3 +266,10 @@ def test_inverse_errors():
         from_increasing(parse_tree("2(3:x)"))  # labels not 1..n+1
     with pytest.raises(ValueError):
         from_increasing(parse_tree("1(2:t,3:y)"))  # t on some root edges only
+
+
+def test_inverse_rejects_tags_off_the_edge_ids():
+    # as many tags as edges, but keyed 0 and 5 on a tree whose ids are 0, 1
+    tree = parse_tree("1(2,3)")
+    with pytest.raises(ValueError, match="every edge must carry a tag"):
+        from_increasing(PlaneTree(tree.root, {0: "x", 5: "y"}))

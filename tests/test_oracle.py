@@ -1,5 +1,5 @@
-"""The array core and the enumeration kernels against the references in
-``oracle.py``.
+"""The array core, the enumeration kernels and the Stirling walk against
+the references in ``oracle.py``.
 
 Every tree comparison is ``==`` on trees, which checks labels, child order,
 edge ids and tags, so the in-place flip, the two bijections, the increasing
@@ -8,15 +8,18 @@ path copying gave.  The scale tests at n = 10^5 run the two shapes on which
 finding a parent by walking its sibling list to one fixed end is quadratic.
 The enumeration kernels must visit what the old loops built, in the same
 order, and the incremental histogram must count what recomputing every
-labeling from scratch counted.
+labeling in full counted.  The single Stirling stack walk must accept,
+reject and decode exactly what the multiplicity check, the second blocks
+walk and the bracket frames did.
 """
 
 import math
 import random
 import re
 from collections import Counter
-from itertools import zip_longest
+from itertools import permutations, product, zip_longest
 
+import pytest
 from hypothesis import given, strategies as st
 
 import oracle
@@ -24,10 +27,13 @@ from planetrees import (
     Node,
     PlaneTree,
     Polynomial,
+    blocks,
     edge_list,
     flip_edge,
     from_increasing,
+    improper_edges,
     increasing_trees,
+    is_stirling,
     labeled_trees,
     parse_tree,
     render_tree,
@@ -37,11 +43,14 @@ from planetrees import (
     sample_increasing_tree,
     sample_increasing_trees,
     sample_labeled_tree,
+    stirling_to_tree,
     to_increasing,
+    tree_to_stirling,
 )
 from planetrees.families import (
     _increasing_kids,
     _labelings,
+    build_tree,
     plane_shapes,
 )
 from planetrees.involution import _SiblingArrays
@@ -197,6 +206,46 @@ def test_root_degree_closed_form_matches_recurrence():
             assert top % 2 ** (n - r) == 0
 
 
+# ---- the Stirling walk ----
+
+def _outcome(fn, seq):
+    try:
+        return fn(seq)
+    except ValueError:
+        return ValueError
+
+
+def _stirling_like_oracle(seq):
+    assert is_stirling(seq) is oracle.is_stirling(seq)
+    assert _outcome(blocks, seq) == _outcome(oracle.blocks, seq)
+    assert (_outcome(stirling_to_tree, seq)
+            == _outcome(oracle.stirling_to_tree, seq))
+
+
+def test_stirling_walk_matches_oracle_on_every_arrangement():
+    for n in range(5):
+        multiset = [v for v in range(1, n + 1) for _ in range(2)]
+        for seq in sorted(set(permutations(multiset))):
+            _stirling_like_oracle(seq)
+    assert is_stirling(())
+    assert blocks(()) == []
+    assert render_tree(stirling_to_tree(())) == "1"
+
+
+def test_stirling_walk_matches_oracle_on_every_short_word():
+    # every word of length <= 6 over -1..3: third copies such as 1 1 1 1,
+    # zeros, negatives, values past n and odd lengths, all of them
+    for length in range(7):
+        for seq in product(range(-1, 4), repeat=length):
+            _stirling_like_oracle(seq)
+
+
+@given(st.lists(st.integers(-1, 7), max_size=12))
+def test_stirling_walk_matches_oracle_on_any_sequence(seq):
+    # odd lengths, zeros, third copies and values past n all occur here
+    _stirling_like_oracle(tuple(seq))
+
+
 # ---- scale: the shapes that defeat a walk to one fixed end ----
 
 BIG = 10**5
@@ -227,3 +276,38 @@ def test_round_trip_increasing_star_at_scale():
     assert out.root.label == 1
     assert sum(1 for tag in out.tags.values() if tag == "x") == BIG
     assert from_increasing(out) == tree
+
+
+def _caterpillar(count):
+    # preorder: each spine vertex has a leaf and then the next spine vertex,
+    # labeled downward so that the spine edges are improper
+    kids = [[] for _ in range(count)]
+    for v in range(0, count - 2, 2):
+        kids[v] = [v + 1, v + 2]
+    return build_tree(kids, list(range(count, 0, -1)))
+
+
+@pytest.mark.parametrize("shape", ["decreasing path", "increasing star",
+                                   "caterpillar"])
+def test_text_round_trip_at_scale(shape):
+    tree = {
+        "decreasing path": lambda: _chain(list(range(BIG + 1, 0, -1))),
+        "increasing star": lambda: PlaneTree(Node(1, tuple(
+            (eid, Node(eid + 2)) for eid in range(BIG)))),
+        "caterpillar": lambda: _caterpillar(BIG + 1),
+    }[shape]()
+    assert tree.edge_count == BIG
+    assert parse_tree(render_tree(tree)) == tree
+
+
+def test_stirling_round_trip_increasing_path_at_scale():
+    # 1 -> 2 -> ... -> n+1: the walk nests n brackets deep
+    tree = _chain(list(range(1, BIG + 2)))
+    word = tree_to_stirling(tree)
+    assert word[:2] == (1, 2) and word[-2:] == (2, 1)
+    assert stirling_to_tree(word) == tree
+
+
+def test_improper_edges_decreasing_path_at_scale():
+    tree = _chain(list(range(BIG + 1, 0, -1)))
+    assert improper_edges(tree) == list(range(BIG))

@@ -6,6 +6,7 @@ from pathlib import Path
 import planetrees
 
 SOURCES = sorted(Path(planetrees.__file__).parent.glob("*.py"))
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
 def test_no_assert_as_runtime_check():
@@ -18,3 +19,20 @@ def test_no_assert_as_runtime_check():
                 found.append(f"{path.name}:{node.lineno}")
     assert SOURCES
     assert found == []
+
+
+def test_package_keeps_what_the_benchmark_reads():
+    # perfbench/spans.py looks every LAYER_OF name up on the package on each
+    # run, and the workloads read the rest; read the table without importing
+    # the benchmark, so a shrinking __all__ cannot break it unseen
+    tree = ast.parse(SPANS.read_text(), str(SPANS))
+    tables = [ast.literal_eval(node.value) for node in ast.walk(tree)
+              if isinstance(node, ast.Assign)
+              and any(getattr(t, "id", None) == "LAYER_OF" for t in node.targets)]
+    assert len(tables) == 1
+    names = [*tables[0], "family_count", "MAX_LABELED_EDGES",
+             "MAX_INCREASING_EDGES", "PlaneTree"]
+    missing = [name for name in names if not hasattr(planetrees, name)]
+    assert missing == []
+    # the traced pass counts flips by patching this module attribute
+    assert callable(planetrees.involution.flip_edge)

@@ -7,8 +7,8 @@ from planetrees import (
     EdgeStatus,
     PlaneTree,
     TreeParseError,
+    Node,
     classify_edge,
-    classify_edge_by_min_sets,
     edge_id,
     edge_list,
     has_canonical_labels,
@@ -19,11 +19,14 @@ from planetrees import (
     render_tree,
     sample_labeled_tree,
     subtree_min,
+    to_increasing,
     tree_stats,
+    tree_to_stirling,
 )
 from planetrees.tree import preorder
 
 from conftest import FIG_INCREASING, FIG_LABELED, FIG_TAGGED
+from oracle import classify_edge_by_min_sets
 
 
 # ---- parsing and rendering ----
@@ -151,6 +154,8 @@ def test_small_classifications():
     assert classify_edge(tree, 0) is EdgeStatus.IMPROPER
     tree = parse_tree("1(2)")
     assert classify_edge(tree, 0) is EdgeStatus.PROPER
+    with pytest.raises(ValueError, match="no edge with id 1"):
+        classify_edge(tree, 1)
 
 
 def test_improper_edges_in_walk_order(fig_labeled):
@@ -200,6 +205,17 @@ def test_has_canonical_labels():
     assert has_canonical_labels(parse_tree("2(1,3)"))
     assert not has_canonical_labels(parse_tree("1(3)"))
     assert has_canonical_labels(parse_tree("1"))
+
+
+def test_repeated_label_is_not_canonical():
+    # two vertices labeled 2 make the label set {1, 2}, which is 1..2 but
+    # not 1..3 for three vertices
+    tree = PlaneTree(Node(1, [(0, Node(2)), (1, Node(2))]))
+    assert not has_canonical_labels(tree)
+    with pytest.raises(ValueError, match="labels must be exactly"):
+        to_increasing(tree)
+    with pytest.raises(ValueError, match="labels must be exactly"):
+        tree_to_stirling(tree)
 
 
 def test_tags_survive_round_trip():
