@@ -40,6 +40,26 @@ def statuses(tree):
     return {e: classify_edge(tree, e) for e, _, _ in edge_list(tree)}
 
 
+# ---- the pieces at one edge ----
+
+def test_decompose_figure():
+    tree = parse_tree(FIG_LABELED)
+    dec = oracle.decompose(tree, edge_id(tree, 5, 3))
+    assert dec.parent.label == 5
+    assert dec.child.label == 3
+    assert [render_tree(PlaneTree(node)) for _, node in dec.left] == ["1(7)"]
+    assert [node.label for _, node in dec.below] == [8, 2, 6, 4]
+    assert dec.right == ()
+
+
+def test_decompose_leaf_edge():
+    tree = parse_tree("3(2,1)")
+    dec = oracle.decompose(tree, edge_id(tree, 3, 1))
+    assert [node.label for _, node in dec.left] == [2]
+    assert dec.below == ()
+    assert dec.right == ()
+
+
 # ---- single flips ----
 
 def test_flip_figure_edge():
