@@ -6,7 +6,6 @@ exact polynomial / generating-function identity checks."""
 from .tree import (
     EdgeRef,
     EdgeStatus,
-    Node,
     PlaneTree,
     TreeParseError,
     TreeStats,
@@ -75,7 +74,7 @@ from .stirling import (
 )
 
 __all__ = [
-    "EdgeRef", "EdgeStatus", "Node", "PlaneTree", "TreeParseError",
+    "EdgeRef", "EdgeStatus", "PlaneTree", "TreeParseError",
     "TreeStats", "classify_edge", "edge_id", "edge_list",
     "has_canonical_labels", "improper_edges", "is_increasing", "parse_tree",
     "render_tree", "subtree_min", "tree_stats",

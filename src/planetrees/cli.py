@@ -31,7 +31,11 @@ from .families import (
     sample_labeled_trees,
 )
 from .involution import flip_edge, from_increasing, to_increasing
-from .polynomials import verify_closed_forms, verify_egf_identities
+from .polynomials import (
+    _worker_pool,
+    verify_closed_forms,
+    verify_egf_identities,
+)
 from .stirling import (
     blocks,
     format_permutation,
@@ -42,7 +46,7 @@ from .stirling import (
 )
 from .tree import (
     EdgeStatus,
-    _improper_map,
+    _improper_flags,
     edge_id,
     edge_list,
     parse_tree,
@@ -75,11 +79,11 @@ def _cmd_classify(args) -> int:
     names = {True: EdgeStatus.IMPROPER.value, False: EdgeStatus.PROPER.value}
     for line in _operand_lines(args.tree):
         tree = parse_tree(line)
-        improper = _improper_map(tree.root)
-        for eid, parent, child in edge_list(tree):
-            print(f"({parent},{child}): {names[improper[eid]]}")
-        count = sum(improper.values())
-        print(f"impr={count} prop={len(improper) - count}")
+        improper = _improper_flags(tree)
+        for (_, parent, child), flag in zip(edge_list(tree), improper[1:]):
+            print(f"({parent},{child}): {names[flag]}")
+        count = sum(improper)
+        print(f"impr={count} prop={tree.edge_count - count}")
     return 0
 
 
@@ -168,8 +172,10 @@ def _cmd_verify(args) -> int:
         failures += _verify_counts(ns_labeled, ns_increasing, args.force)
     if args.target in ("thm1", "all"):
         ns = range(MAX_LABELED_EDGES + 1) if args.n is None else [args.n]
-        failures += _verify_thm1(ns, args.jobs, args.force,
-                                 show_polys=args.n is not None)
+        # one pool for every n and both sums, none with --jobs 1
+        with _worker_pool(args.jobs):
+            failures += _verify_thm1(ns, args.jobs, args.force,
+                                     show_polys=args.n is not None)
     if args.target in ("thm2", "all"):
         failures += _verify_thm2(args.order, args.force)
     elapsed = time.perf_counter() - started

@@ -26,18 +26,16 @@ labeled trees combine a uniform shape (random balanced word via the cycle
 rotation trick) with a uniform labeling.
 
 Increasing trees are grown in place, in one mutable list of children per
-vertex (vertex v carries label v+1), and turned into a :class:`PlaneTree`
-with edge ids in first-descent order.  Slots are numbered depth-first:
-vertex v with d children owns slots 0..d, its positions among its children,
-before any slot in its subtrees, and a subtree with s edges spans 2s+1
-slots.  The kernel walks the slots in that order by backtracking (insert,
-descend, remove), so it visits the trees in the same order as rebuilding
-every tree by path copying did.  The sampler draws a slot number
-with ``rng.randrange(2m-1)`` and descends to it by subtree sizes kept up to
-date on the way down, so a seed maps to the same tree as before; a
-slot-list sampler with O(1) work per leaf would map seeds to other trees.
-Along the descent it still scans the children of each vertex it passes,
-which keeps a sample slightly above linear time.
+vertex (vertex v carries label v+1).  One builder, :func:`build_tree`, turns
+child lists into a :class:`PlaneTree` with edge ids in first-descent order;
+the labeled sampler emits its shape's preorder parents directly.  Slots are
+numbered depth-first: vertex v with d children owns slots 0..d, its
+positions among its children, before any slot in its subtrees, and a
+subtree with s edges spans 2s+1 slots.  The kernel walks the slots in that
+order by backtracking (insert, descend, remove).  The sampler draws a slot
+number with ``rng.randrange(2m-1)`` and descends to it by subtree sizes
+kept up to date on the way down, scanning the children of each vertex it
+passes, which keeps a sample slightly above linear time.
 
 The bounds below are where exhaustive work stops being a desk-scale job;
 the polynomial layer and the command line refuse larger n unless forced,
@@ -52,7 +50,7 @@ from dataclasses import dataclass
 from itertools import islice, permutations
 from typing import Iterator
 
-from .tree import Node, PlaneTree
+from .tree import PlaneTree
 
 MAX_LABELED_EDGES = 6      # |labeled family| at 6 is 665,280
 MAX_INCREASING_EDGES = 7   # |increasing family| at 7 is 135,135
@@ -105,34 +103,43 @@ def plane_shapes(n: int) -> Iterator[tuple]:
                 yield (first,) + rest
 
 
-def shape_arrays(shape: tuple) -> tuple[list[int], list[list[int]]]:
-    """Parent and children arrays of a shape, vertices indexed in preorder."""
-    par: list[int] = []
+def shape_arrays(shape: tuple) -> list[list[int]]:
+    """Children arrays of a shape, vertices indexed in preorder."""
     kids: list[list[int]] = []
     stack = [(shape, -1)]
     while stack:
         sub, p = stack.pop()
-        v = len(par)
-        par.append(p)
+        v = len(kids)
         kids.append([])
         if p >= 0:
             kids[p].append(v)
         for child in reversed(sub):
             stack.append((child, v))
-    return par, kids
+    return kids
 
 
-def build_tree(kids: list[list[int]], labels) -> PlaneTree:
-    """Assemble a tree from preorder children arrays and per-vertex labels.
-
-    The edge down to preorder vertex v gets id v-1, which is exactly the
-    first-descent numbering the parser uses.
-    """
+def build_tree(kids: list[list[int]], labels=None) -> PlaneTree:
+    """A tree from child lists, vertex 0 the root, and per-vertex labels,
+    vertex v labeled v+1 when ``labels`` is None.  One preorder walk emits
+    the arrays; the edge into the k-th vertex in preorder gets id k-1, the
+    first-descent numbering the parser uses."""
     count = len(kids)
-    nodes: list[Node] = [None] * count  # type: ignore[list-item]
-    for v in range(count - 1, -1, -1):
-        nodes[v] = Node(labels[v], [(c - 1, nodes[c]) for c in kids[v]])
-    return PlaneTree(nodes[0])
+    if labels is None:
+        labels = range(1, count + 1)
+    order: list[int] = []
+    parents: list[int] = []
+    stack = [0]
+    above = [-1]  # in step with stack: the position of each one's parent
+    while stack:
+        v = stack.pop()
+        parents.append(above.pop())
+        here = kids[v]
+        if here:
+            stack.extend(reversed(here))
+            above.extend([len(order)] * len(here))
+        order.append(v)
+    return PlaneTree._trusted(tuple(map(labels.__getitem__, order)),
+                              tuple(parents), tuple(range(-1, count - 1)))
 
 
 # ---- exhaustive enumeration ----
@@ -161,7 +168,7 @@ def _labelings(n: int,
     # the permutations of 1..n+1 that start with 1 are the first n! of them
     per_shape = math.factorial(n) if root_first else math.factorial(n + 1)
     for shape in plane_shapes(n):
-        _, kids = shape_arrays(shape)
+        kids = shape_arrays(shape)
         for labels in islice(permutations(range(1, n + 2)), per_shape):
             yield kids, labels
 
@@ -186,19 +193,6 @@ def _preorder(kids: list[list[int]]) -> list[int]:
         order.append(v)
         stack.extend(reversed(kids[v]))
     return order
-
-
-def _increasing_tree(kids: list[list[int]]) -> PlaneTree:
-    # vertex v is labeled v+1; the edge into a vertex gets its preorder
-    # position minus one, the first-descent id that build_tree also gives
-    order = _preorder(kids)
-    at = [0] * len(kids)
-    for i, v in enumerate(order):
-        at[v] = i
-    nodes: list[Node] = [None] * len(kids)  # type: ignore[list-item]
-    for v in reversed(order):
-        nodes[v] = Node(v + 1, [(at[c] - 1, nodes[c]) for c in kids[v]])
-    return PlaneTree(nodes[0])
 
 
 def _slots(kids: list[list[int]]) -> list[tuple[int, int]]:
@@ -246,12 +240,13 @@ def _increasing_kids(n: int) -> Iterator[list[list[int]]]:
 def increasing_trees(n: int) -> Iterator[PlaneTree]:
     """All increasing plane trees with n edges, grown by leaf insertion."""
     for kids in _increasing_kids(n):
-        yield _increasing_tree(kids)
+        yield build_tree(kids)
 
 
 # ---- uniform sampling ----
 
-def _random_shape_arrays(n: int, rng: random.Random) -> list[list[int]]:
+def _random_shape_parents(n: int, rng: random.Random) -> list[int]:
+    """Preorder parents of a uniform shape with n edges."""
     # a uniform word of n up-steps and n+1 down-steps, rotated to start just
     # after its first prefix-sum minimum, is a uniform balanced word plus a
     # final down-step (cycle lemma: each rotation class of size 2n+1 holds
@@ -269,24 +264,23 @@ def _random_shape_arrays(n: int, rng: random.Random) -> list[list[int]]:
     word = steps[cut + 1:] + steps[:cut + 1]
     if word[-1] != -1:
         raise RuntimeError("rotated step word does not end in a down-step")
-    kids: list[list[int]] = [[]]
+    parents = [-1]
     stack = [0]
     for st in word[:-1]:
         if st == 1:
-            v = len(kids)
-            kids.append([])
-            kids[stack[-1]].append(v)
-            stack.append(v)
+            stack.append(len(parents))
+            parents.append(stack[-2])
         else:
             stack.pop()
-    return kids
+    return parents
 
 
 def _random_labeled_tree(n: int, rng: random.Random) -> PlaneTree:
-    kids = _random_shape_arrays(n, rng)
+    parents = _random_shape_parents(n, rng)
     labels = list(range(1, n + 2))
     rng.shuffle(labels)
-    return build_tree(kids, labels)
+    return PlaneTree._trusted(tuple(labels), tuple(parents),
+                              tuple(range(-1, n)))
 
 
 def _random_increasing_tree(n: int, rng: random.Random) -> PlaneTree:
@@ -310,7 +304,7 @@ def _random_increasing_tree(n: int, rng: random.Random) -> PlaneTree:
                     v = c
                     break
                 pos -= span
-    return _increasing_tree(kids)
+    return build_tree(kids)
 
 
 def sample_labeled_tree(n: int, seed: int) -> PlaneTree:

@@ -20,18 +20,18 @@ flipping the x-tagged edges of a tagged increasing tree.  The flips involved
 commute, so each map really is a bijection and the two are mutually inverse.
 
 All three work on one mutable copy of the tree in first-child/next-sibling
-form (Knuth, TAOCP Vol. 1, 2.3.2): they build the arrays once, apply every
-flip in place and build one :class:`PlaneTree` at the end, so a bijection
-costs O(n) rather than the O(n^2) of rebuilding every ancestor per flip.
-Vertices are indexed by preorder position, not by label, because labels
-need only be distinct and positive.  In this form a flip is a constant-size
-rewiring of sibling and child links once i = parent(j) is known.  Parent
-pointers are kept valid only at the two ends of each sibling list, so
-finding i means walking from j to an end of its list.  The walk goes left
-and right at the same time and stops at the nearer end: flipping in
-first-descent order makes A grow by one per flip on a decreasing path, and
-makes C long on a star whose children increase, so a walk to either fixed
-end would make one of those shapes quadratic.
+form (Knuth, TAOCP Vol. 1, 2.3.2), built from the input's ``parents`` in one
+loop: they apply every flip in place and emit the output's preorder arrays
+by one walk, so a bijection costs O(n) rather than the O(n^2) of rebuilding
+every ancestor per flip.  In this form a flip is a constant-size rewiring of
+sibling and child links once i = parent(j) is known.  Parent pointers are
+kept valid only at the two ends of each sibling list, so finding i means
+walking from j to an end of its list.  The walk goes left and right at the
+same time and stops at the nearer end: flipping in first-descent order
+makes A grow by one per flip on a decreasing path, and makes C long on a
+star whose children increase, so a walk to either fixed end would make one
+of those shapes quadratic.  The walk that emits the result climbs only from
+a last child, whose parent pointer is valid.
 """
 
 from __future__ import annotations
@@ -41,9 +41,8 @@ from .tree import (
     PROPER_TAG,
     ROOT_TAG,
     EdgeRef,
-    Node,
     PlaneTree,
-    _improper_map,
+    _improper_flags,
     has_canonical_labels,
     is_increasing,
 )
@@ -55,47 +54,31 @@ class _SiblingArrays:
     Each vertex keeps its first child and its previous and next siblings.
     ``parent[v]`` is valid while v is the first or the last child of its
     parent, and is -1 for the root.  ``edge[v]`` is the id of the edge into
-    v (None for the root) and ``child`` maps each edge id back to v.
+    v (-1 for the root) and ``child`` maps each edge id back to v.
     """
 
     __slots__ = ("label", "first", "prev", "next", "parent", "edge", "child",
                  "root")
 
-    def __init__(self, root: Node):
-        label, edge = [], []
-        first, last, prev, next_, parent = [], [], [], [], []
-        child = {}
-        # (edge id, node) pairs as they sit in Node.children, and in step
-        # with them the index of each one's parent
-        stack: list = [(None, root)]
-        above = [-1]
-        while stack:
-            eid, node = stack.pop()
-            p = above.pop()
-            v = len(label)
-            label.append(node.label)
-            edge.append(eid)
-            first.append(-1)
-            last.append(-1)
-            next_.append(-1)
-            parent.append(p)
-            if p < 0:
-                prev.append(-1)
+    def __init__(self, tree: PlaneTree):
+        count = len(tree.labels)
+        first, last = [-1] * count, [-1] * count
+        prev, next_ = [-1] * count, [-1] * count
+        parents = tree.parents
+        # preorder reaches siblings left to right: append to each list
+        for v in range(1, count):
+            p = parents[v]
+            before = last[p]
+            prev[v] = before
+            if before < 0:
+                first[p] = v
             else:
-                child[eid] = v
-                # preorder reaches siblings left to right: append to p's list
-                before = last[p]
-                prev.append(before)
-                if before < 0:
-                    first[p] = v
-                else:
-                    next_[before] = v
-                last[p] = v
-            stack.extend(reversed(node.children))
-            above.extend([v] * len(node.children))
-        self.label, self.edge, self.child = label, edge, child
+                next_[before] = v
+            last[p] = v
+        self.label, self.edge = tree.labels, list(tree.edges)
+        self.child = dict(zip(tree.edges[1:], range(1, count)))
         self.first, self.prev, self.next = first, prev, next_
-        self.parent = parent
+        self.parent = list(parents)
         self.root = 0
 
     def flip(self, eid: EdgeRef) -> None:
@@ -154,36 +137,39 @@ class _SiblingArrays:
         above = edge[i]
         edge[i], edge[j] = eid, above
         self.child[eid] = i
-        if above is not None:
+        if above >= 0:
             self.child[above] = j
 
     def tree(self, tags: dict[EdgeRef, str] | None) -> PlaneTree:
-        label, edge, first, next_ = self.label, self.edge, self.first, self.next
-        nodes: list = [None] * len(label)
-        order = []
-        stack = [self.root]
-        while stack:
-            v = stack.pop()
+        """The current tree, by one preorder walk over first/next."""
+        first, next_, parent = self.first, self.next, self.parent
+        order: list[int] = []
+        parents: list[int] = []
+        above: list[int] = []  # output positions of the current ancestors
+        v = self.root
+        while True:
+            parents.append(above[-1] if above else -1)
             order.append(v)
-            c = first[v]
-            while c >= 0:
-                stack.append(c)
-                c = next_[c]
-        # every vertex comes after its parent in order: reversed, children
-        # are built first
-        for v in reversed(order):
-            kids = []
-            c = first[v]
-            while c >= 0:
-                kids.append((edge[c], nodes[c]))
-                c = next_[c]
-            nodes[v] = Node(label[v], kids)
-        return PlaneTree(nodes[self.root], tags)
+            if first[v] >= 0:
+                above.append(len(order) - 1)
+                v = first[v]
+                continue
+            # climb while v is a last child, whose parent pointer is valid
+            while next_[v] < 0 and above:
+                above.pop()
+                v = parent[v]
+            if next_[v] < 0:
+                break
+            v = next_[v]
+        return PlaneTree._trusted(tuple(map(self.label.__getitem__, order)),
+                                  tuple(parents),
+                                  tuple(map(self.edge.__getitem__, order)),
+                                  tags)
 
 
 def flip_edge(tree: PlaneTree, edge: EdgeRef) -> PlaneTree:
     """Apply the involution at one edge; a new tree, input untouched."""
-    arrays = _SiblingArrays(tree.root)
+    arrays = _SiblingArrays(tree)
     arrays.flip(edge)
     return arrays.tree(tree.tags)
 
@@ -192,7 +178,7 @@ def _flip_x_edges(tree: PlaneTree, tags: dict[EdgeRef, str],
                   out_tags: dict[EdgeRef, str] | None) -> PlaneTree:
     # both directions flip the x-tagged edges, in first-descent order, which
     # is the order of the child ends in preorder before any flip
-    arrays = _SiblingArrays(tree.root)
+    arrays = _SiblingArrays(tree)
     for eid in arrays.edge[1:]:
         if tags[eid] == IMPROPER_TAG:
             arrays.flip(eid)
@@ -210,19 +196,15 @@ def to_increasing(tree: PlaneTree, rooted: bool = False) -> PlaneTree:
         raise ValueError("input tree is already tagged")
     if not has_canonical_labels(tree):
         raise ValueError("labels must be exactly 1..n+1")
-    if rooted and tree.root.label != 1:
+    if rooted and tree.labels[0] != 1:
         raise ValueError("rooted mode requires root label 1")
 
     # in rooted mode vertex 1 is the root, and no edge at it is improper
-    at_one = {eid for eid, _ in tree.root.children} if rooted else set()
-    tags = {}
-    for eid, improper in _improper_map(tree.root).items():
-        if improper:
-            tags[eid] = IMPROPER_TAG
-        elif eid in at_one:
-            tags[eid] = ROOT_TAG
-        else:
-            tags[eid] = PROPER_TAG
+    at_root = ROOT_TAG if rooted else PROPER_TAG
+    tags = {eid: IMPROPER_TAG if improper else at_root if p == 0 else PROPER_TAG
+            for eid, improper, p in zip(tree.edges[1:],
+                                        _improper_flags(tree)[1:],
+                                        tree.parents[1:])}
 
     out = _flip_x_edges(tree, tags, tags)
     if not is_increasing(out):
@@ -242,11 +224,11 @@ def from_increasing(tree: PlaneTree) -> PlaneTree:
         raise ValueError("labels must be exactly 1..n+1")
     tags = tree.tags or {}
     # the tags must be keyed by exactly the tree's edge ids
-    ids = [eid for node in tree.nodes() for eid, _ in node.children]
-    if len(tags) != len(ids) or tags.keys() != set(ids):
+    if tags.keys() != set(tree.edges[1:]):
         raise ValueError("every edge must carry a tag")
     t_edges = {eid for eid, tag in tags.items() if tag == ROOT_TAG}
-    if t_edges and t_edges != {eid for eid, _ in tree.root.children}:
+    at_root = {eid for eid, p in zip(tree.edges, tree.parents) if p == 0}
+    if t_edges and t_edges != at_root:
         raise ValueError("tag t must be on every edge at the root "
                          "and nowhere else")
     return _flip_x_edges(tree, tags, None)

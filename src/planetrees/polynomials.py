@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -318,7 +319,7 @@ def _shape_histogram(shape, root_first: bool):
     reaches the first changed position are rescanned, children first, and
     the running total moves by the change in each one's count.
     """
-    _, kids = shape_arrays(shape)
+    kids = shape_arrays(shape)
     count = len(kids)
     end = list(range(1, count + 1))  # one past the last vertex of each subtree
     for v in range(count - 1, -1, -1):
@@ -354,13 +355,32 @@ def _shape_histogram(shape, root_first: bool):
     return len(kids[0]), hist
 
 
+_POOL: list = []  # the pool the histogram sums share while one is open
+
+
+@contextmanager
+def _worker_pool(jobs: int):
+    """Share one pool of ``jobs`` processes among the histogram sums made in
+    the block; none with ``jobs`` <= 1 or inside another such block."""
+    if jobs <= 1 or _POOL:
+        yield
+        return
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        _POOL.append(pool)
+        try:
+            yield
+        finally:
+            _POOL.pop()
+
+
 def _histograms(n: int, root_first: bool, jobs: int) -> Iterator:
     shapes = plane_shapes(n)
     if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            yield from pool.map(_shape_histogram, shapes, repeat(root_first))
+        with _worker_pool(jobs):
+            yield from _POOL[0].map(_shape_histogram, shapes,
+                                    repeat(root_first))
     else:
         for shape in shapes:
             yield _shape_histogram(shape, root_first)

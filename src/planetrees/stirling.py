@@ -17,8 +17,9 @@ That reading is written once, as a private stack walk (``_stirling_kids``)
 that validates a word in a single pass and returns the child lists of the
 increasing tree it encodes.  :func:`is_stirling`, :func:`blocks`,
 :func:`stirling_to_tree` and :func:`block_table` all read it, and the tree
-is assembled by ``families._increasing_tree``, as for the increasing-tree
-enumerator and sampler.
+is assembled by ``families.build_tree``, as for the increasing-tree
+enumerator and sampler.  :func:`tree_to_stirling` walks the tree's preorder
+``parents`` with one stack of the open vertices.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Sequence
 
-from .families import _increasing_tree
+from .families import build_tree
 from .tree import PlaneTree, has_canonical_labels, is_increasing
 
 
@@ -106,27 +107,24 @@ def tree_to_stirling(tree: PlaneTree) -> tuple[int, ...]:
         raise ValueError("labels must be exactly 1..n+1")
     if not is_increasing(tree):
         raise ValueError("not an increasing tree")
+    labels, parents = tree.labels, tree.parents
     word: list[int] = []
-    stack: list = [iter(tree.root.children)]
-    spine: list[int] = []
-    while stack:
-        step = next(stack[-1], None)
-        if step is None:
-            stack.pop()
-            if spine:
-                word.append(spine.pop())
-            continue
-        _, child = step
-        word.append(child.label - 1)
-        spine.append(child.label - 1)
-        stack.append(iter(child.children))
+    open_: list[int] = []  # the vertices entered and not yet left, root aside
+    for v in range(1, len(labels)):
+        # leave every open vertex that is not v's parent, deepest first
+        p = parents[v]
+        while open_ and open_[-1] != p:
+            word.append(labels[open_.pop()] - 1)
+        word.append(labels[v] - 1)
+        open_.append(v)
+    word.extend(labels[v] - 1 for v in reversed(open_))
     return tuple(word)
 
 
 def stirling_to_tree(seq: Sequence[int]) -> PlaneTree:
     """Inverse walk: first copy of v opens a child labeled v+1 under the
     current vertex, second copy closes it."""
-    return _increasing_tree(_checked_kids(seq))
+    return build_tree(_checked_kids(seq))
 
 
 def stirling_permutations(n: int):

@@ -6,6 +6,12 @@ id (an ``EdgeRef``) that survives the rewiring done in :mod:`.involution`;
 the parser and the enumerators assign ids in first-descent depth-first order,
 i.e. in the order the edges are first walked when descending from the root.
 
+A :class:`PlaneTree` is three immutable tuples of ints indexed by preorder
+position, plus the tags: ``labels``, ``parents`` (the position of each
+vertex's parent) and ``edges`` (the id of the edge into each vertex), with
+-1 for the root's parent and edge.  A subtree is a run of positions, and
+every function here is an index scan over those tuples.
+
 Text format::
 
     Tree := Label [":" Tag] ["(" Tree ("," Tree)* ")"]
@@ -18,19 +24,19 @@ tagged or fully untagged.
 An edge (parent, child) is *improper* when the smallest label in the child's
 subtree is smaller than both the parent's label and every label in the
 subtrees of the child's right siblings; otherwise it is *proper*.  The rule
-is implemented once, as one right-to-left scan over each vertex's children
-(``_improper_map``): the bound starts at the vertex's label and drops to each
-smaller child subtree minimum, a drop marks that child's edge improper, and
-the final bound is the vertex's own subtree minimum.  Every query here goes
-through that scan; a cross-check that compares the minima of the two
-explicit label sets lives with the tests.
+is one loop in reverse preorder (``_improper_flags``), which meets each
+vertex's children right to left after their subtrees: the parent's bound
+starts at its label and drops to each smaller child subtree minimum, a drop
+marks that child's edge improper, and the final bound is the parent's own
+subtree minimum.  Every query here goes through that loop.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
+from operator import le
 
 EdgeRef = int
 
@@ -53,33 +59,55 @@ class EdgeStatus(Enum):
     IMPROPER = "improper"
 
 
-class Node:
-    """A vertex: an integer label plus ordered (edge id, child) pairs."""
-
-    __slots__ = ("label", "children")
-
-    def __init__(self, label: int, children: tuple = ()):
-        self.label = label
-        self.children = tuple(children)
-
-    def __repr__(self):
-        return f"Node({self.label}, {len(self.children)} children)"
+def _check_handle(labels, parents, edges) -> None:
+    """Reject arrays that are not one preorder tree with distinct edge ids."""
+    count = len(labels)
+    if not count == len(parents) == len(edges) > 0 or min(edges) < -1 or (
+            edges[0] != -1):
+        raise ValueError("a tree needs equally long labels, parents and "
+                         "edges, with edge id -1 into the root only")
+    if len(set(edges)) != count:
+        raise ValueError("repeated edge id")
+    path = []  # the previous vertex and its ancestors
+    for v, p in enumerate(parents):
+        while path and path[-1] != p:
+            path.pop()
+        if (not path) != (p == -1) or (p == -1 and v):
+            raise ValueError("parents must list a tree in preorder")
+        path.append(v)
 
 
 class PlaneTree:
     """An immutable plane tree value.
 
+    ``PlaneTree(handle, tags)`` builds a tree from the ``root`` handle of
+    another tree, the ``(labels, parents, edges)`` triple, which it checks.
     ``tags`` maps every edge id to one of ``x``/``y``/``t`` on a tagged
     tree and is ``None`` on an untagged one.  Operations on trees never
     mutate their input; they build new trees.
     """
 
-    __slots__ = ("root", "tags")
+    __slots__ = ("labels", "parents", "edges", "tags")
 
-    def __init__(self, root: Node, tags: dict[EdgeRef, str] | None = None):
-        self.root = root
+    def __init__(self, root: tuple, tags: dict[EdgeRef, str] | None = None):
+        labels, parents, edges = map(tuple, root)
+        _check_handle(labels, parents, edges)
+        self.labels, self.parents, self.edges = labels, parents, edges
         # an empty tag map carries no information: normalize it away
         self.tags = dict(tags) if tags else None
+
+    @classmethod
+    def _trusted(cls, labels, parents, edges, tags=None) -> PlaneTree:
+        """A tree from arrays the library built itself, unchecked."""
+        tree = cls.__new__(cls)
+        tree.labels, tree.parents, tree.edges = labels, parents, edges
+        tree.tags = dict(tags) if tags else None
+        return tree
+
+    @property
+    def root(self) -> tuple:
+        """An opaque immutable handle; ``PlaneTree(root, tags)`` rebuilds."""
+        return self.labels, self.parents, self.edges
 
     @property
     def is_tagged(self) -> bool:
@@ -87,35 +115,13 @@ class PlaneTree:
 
     @property
     def edge_count(self) -> int:
-        return sum(len(node.children) for node in self.nodes())
-
-    def nodes(self) -> Iterator[Node]:
-        return preorder(self.root)
-
-    def labels(self) -> set[int]:
-        return {node.label for node in self.nodes()}
-
-    def node(self, label: int) -> Node:
-        for node in self.nodes():
-            if node.label == label:
-                return node
-        raise ValueError(f"no vertex labeled {label}")
+        return len(self.labels) - 1
 
     def __eq__(self, other):
         if not isinstance(other, PlaneTree):
             return NotImplemented
-        if self.tags != other.tags:
-            return False
-        stack = [(self.root, other.root)]
-        while stack:
-            a, b = stack.pop()
-            if a.label != b.label or len(a.children) != len(b.children):
-                return False
-            for (ea, ca), (eb, cb) in zip(a.children, b.children):
-                if ea != eb:
-                    return False
-                stack.append((ca, cb))
-        return True
+        return (self.labels == other.labels and self.parents == other.parents
+                and self.edges == other.edges and self.tags == other.tags)
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -126,134 +132,139 @@ class PlaneTree:
         return f"PlaneTree({render_tree(self)!r})"
 
 
-def preorder(root: Node) -> Iterator[Node]:
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        yield node
-        for _, child in reversed(node.children):
-            stack.append(child)
-
-
 # ---- text format ----
 
-def parse_tree(text: str) -> PlaneTree:
-    """Parse tree text; raises :class:`TreeParseError` with a position."""
-    length = len(text)
+_DELIMITERS = re.compile(r"([(),])")
+# the text of one vertex; a fault shows as an empty group or as stray text
+_HEADER = re.compile(r"\s*(?P<label>\d*)\s*"
+                     r"(?:(?P<colon>:)\s*(?P<tag>[xyt]?))?\s*")
 
-    def skip(p):
-        while p < length and text[p].isspace():
-            p += 1
-        return p
 
-    def read_label(p):
-        p = skip(p)
-        start = p
-        while p < length and text[p].isdigit():
-            p += 1
-        if p == start:
-            raise TreeParseError("expected a label", start)
-        value = int(text[start:p])
-        if value < 1:
-            raise TreeParseError("labels must be positive", start)
-        return value, p
+def _piece_of(parts: list[str], vertex: int) -> int:
+    # vertex k >= 1 is the text after the k-th "(" or ","
+    return ([0] + [i + 1 for i in range(1, len(parts), 2)
+                   if parts[i] != ")"])[vertex]
 
-    seen: set[int] = set()
-    tags: dict[int, str] = {}
-    header_pos: list[int] = []  # text offset of each edge's child label
-    next_eid = 0
 
-    def read_header(p):
-        # child label with optional ":tag"; assigns the next edge id
-        nonlocal next_eid
-        p = skip(p)
-        header_pos.append(p)
-        label, p = read_label(p)
-        if label in seen:
-            raise TreeParseError(f"duplicate label {label}", header_pos[-1])
+def _fail(parts: list[str], labels: list[int], message: str, index: int,
+          within: int | None = None):
+    """Raise the first fault in text order: a non-positive or repeated label
+    among those read so far, else ``message`` at offset ``within`` of
+    ``parts[index]``, or at its first non-space character."""
+    seen = set()
+    for v, label in enumerate(labels):
+        if label < 1 or label in seen:
+            message = ("labels must be positive" if label < 1
+                       else f"duplicate label {label}")
+            index, within = _piece_of(parts, v), None
+            break
         seen.add(label)
-        eid = next_eid
-        next_eid += 1
-        p = skip(p)
-        if p < length and text[p] == ":":
-            p = skip(p + 1)
-            if p >= length or text[p] not in TAGS:
-                raise TreeParseError("expected tag x, y, or t", p)
-            tags[eid] = text[p]
-            p += 1
-        return [label, eid, []], p
+    piece = parts[index]
+    if within is None:
+        within = len(piece) - len(piece.lstrip())
+    raise TreeParseError(message, sum(map(len, parts[:index])) + within)
 
-    pos = skip(0)
-    root_label, pos = read_label(pos)
-    seen.add(root_label)
-    pos = skip(pos)
-    if pos < length and text[pos] == ":":
-        raise TreeParseError("the root cannot carry a tag", pos)
 
-    # frames: [label, edge id from parent (None for root), children so far]
-    stack: list[list] = []
-    cur: list = [root_label, None, []]
-    while True:
-        pos = skip(pos)
-        if pos < length and text[pos] == "(":
-            stack.append(cur)
-            cur, pos = read_header(pos + 1)
-            continue
-        # cur has no children group: close it and bubble upward
-        while True:
-            node = Node(cur[0], tuple(cur[2]))
-            if not stack:
-                pos = skip(pos)
-                if pos != length:
-                    raise TreeParseError("unexpected trailing input", pos)
-                if tags and len(tags) != next_eid:
-                    for eid in range(next_eid):
-                        if eid not in tags:
-                            raise TreeParseError(
-                                "either all edges or none must be tagged",
-                                header_pos[eid])
-                return PlaneTree(node, tags)
-            pos = skip(pos)
-            if pos >= length:
-                raise TreeParseError("expected ',' or ')'", pos)
-            ch = text[pos]
-            if ch == ",":
-                stack[-1][2].append((cur[1], node))
-                cur, pos = read_header(pos + 1)
-                break
-            if ch == ")":
-                stack[-1][2].append((cur[1], node))
-                cur = stack.pop()
-                pos += 1
+def _read_header(parts: list[str], labels: list[int], index: int) -> str | None:
+    """Append the label of a vertex's text and return its tag, or raise at
+    the first fault; the root's text is ``parts[0]``."""
+    piece = parts[index]
+    found = _HEADER.match(piece)
+
+    def fail(message, at=None):
+        _fail(parts, labels, message, index, at)
+
+    if not found["label"]:
+        fail("expected a label")
+    labels.append(int(found["label"]))
+    if found["colon"] and not index:
+        fail("the root cannot carry a tag", found.start("colon"))
+    if found["colon"] and not found["tag"]:
+        fail("expected tag x, y, or t", found.start("tag"))
+    if found.end() < len(piece):
+        fail("expected ',' or ')'" if index else "unexpected trailing input",
+             found.end())
+    return found["tag"]
+
+
+def parse_tree(text: str) -> PlaneTree:
+    """Parse tree text; raises :class:`TreeParseError` with a position.
+
+    The text is split once at its delimiters; the pieces between them are
+    the vertices' labels and tags.  The fault named is the first one a
+    left-to-right scan meets, though the labels are checked only at the end.
+    """
+    parts = _DELIMITERS.split(text)
+    labels: list[int] = []
+    parents: list[int] = []
+    tags: dict[int, str] = {}
+    stack: list[int] = []  # the open vertices; the last is the next parent
+    closed = False  # whether the last delimiter was ")"
+    for i in range(0, len(parts), 2):
+        if i:
+            mark = parts[i - 1]
+            if mark == "(" and not closed:
+                stack.append(len(labels) - 1)
+            elif not stack:
+                _fail(parts, labels, "unexpected trailing input", i - 1, 0)
+            elif mark == "(":
+                _fail(parts, labels, "expected ',' or ')'", i - 1, 0)
+            elif mark == ")":
+                stack.pop()
+                closed = True
+                if parts[i] and not parts[i].isspace():
+                    _fail(parts, labels, "expected ',' or ')'" if stack
+                          else "unexpected trailing input", i)
                 continue
-            raise TreeParseError("expected ',' or ')'", pos)
+            closed = False
+        parents.append(stack[-1] if stack else -1)
+        piece = parts[i]
+        if piece.isdigit():
+            labels.append(int(piece))
+            continue
+        label, colon, tag = piece.partition(":")
+        if colon and i and tag in TAGS and label.isdigit():
+            labels.append(int(label))
+        else:
+            tag = _read_header(parts, labels, i)
+            if tag is None:
+                continue
+        tags[len(labels) - 2] = tag
+    count = len(labels)
+    if stack:
+        _fail(parts, labels, "expected ',' or ')'", len(parts) - 1,
+              len(parts[-1]))
+    if min(labels) < 1 or len(set(labels)) != count:
+        _fail(parts, labels, "", 0)  # names the first faulty label
+    if tags and len(tags) != count - 1:
+        untagged = next(e for e in range(count - 1) if e not in tags)
+        _fail(parts, [], "either all edges or none must be tagged",
+              _piece_of(parts, untagged + 1))
+    # first-descent edge ids are preorder positions minus one
+    return PlaneTree._trusted(tuple(labels), tuple(parents),
+                              tuple(range(-1, count - 1)), tags)
 
 
 def render_tree(tree: PlaneTree) -> str:
     """Canonical text: ASCII, no whitespace, children left to right."""
-    tags = tree.tags
-    parts = [str(tree.root.label)]
-    stack = []
-    if tree.root.children:
-        parts.append("(")
-        stack.append([tree.root.children, 0])
-    while stack:
-        children, idx = stack[-1]
-        if idx == len(children):
-            parts.append(")")
-            stack.pop()
-            continue
-        if idx:
-            parts.append(",")
-        stack[-1][1] = idx + 1
-        eid, node = children[idx]
-        parts.append(str(node.label))
-        if tags is not None:
-            parts.append(":" + tags[eid])
-        if node.children:
-            parts.append("(")
-            stack.append([node.children, 0])
-    return "".join(parts)
+    labels, parents = tree.labels, tree.parents
+    names = list(map(str, labels))
+    if tree.tags is not None:
+        names[1:] = [f"{name}:{tree.tags[eid]}"
+                     for name, eid in zip(names[1:], tree.edges[1:])]
+    out = [names[0]]
+    depth = [0] * len(labels)
+    for v in range(1, len(labels)):
+        p = parents[v]
+        d = depth[v] = depth[p] + 1
+        if p == v - 1:
+            out.append("(")
+        else:
+            # close the groups between the previous vertex and v's parent
+            out.append(")" * (depth[v - 1] - d) + ",")
+        out.append(names[v])
+    out.append(")" * depth[-1])
+    return "".join(out)
 
 
 # ---- queries ----
@@ -268,15 +279,9 @@ class TreeStats:
 
 def edge_list(tree: PlaneTree) -> list[tuple[EdgeRef, int, int]]:
     """All edges as (edge id, parent label, child label), first-descent order."""
-    out = []
-    stack: list[tuple] = [(None, 0, tree.root)]
-    while stack:
-        eid, parent_label, node = stack.pop()
-        if eid is not None:
-            out.append((eid, parent_label, node.label))
-        for e, child in reversed(node.children):
-            stack.append((e, node.label, child))
-    return out
+    labels = tree.labels
+    return list(zip(tree.edges[1:], map(labels.__getitem__, tree.parents[1:]),
+                    labels[1:]))
 
 
 def edge_id(tree: PlaneTree, parent_label: int, child_label: int) -> EdgeRef:
@@ -288,64 +293,59 @@ def edge_id(tree: PlaneTree, parent_label: int, child_label: int) -> EdgeRef:
 
 def subtree_min(tree: PlaneTree, label: int) -> int:
     """Smallest label in the subtree rooted at the given vertex."""
-    return min(node.label for node in preorder(tree.node(label)))
+    labels, parents = tree.labels, tree.parents
+    if label not in labels:
+        raise ValueError(f"no vertex labeled {label}")
+    v = end = labels.index(label)
+    # the subtree: v and the run of later positions whose parents lie in it
+    while end + 1 < len(labels) and parents[end + 1] >= v:
+        end += 1
+    return min(labels[v:end + 1])
 
 
-def _improper_map(root: Node) -> dict[EdgeRef, bool]:
-    """Whether each edge is improper, in one pass over the tree."""
-    mins: dict[int, int] = {}  # subtree minimum by id(node)
-    status = {}
-    # reverse preorder visits every child before its parent
-    for node in reversed(list(preorder(root))):
-        # right to left: bound = min(own label, right-sibling subtree minima)
-        bound = node.label
-        for eid, child in reversed(node.children):
-            m = mins[id(child)]
-            if m < bound:
-                status[eid] = True
-                bound = m
-            else:
-                status[eid] = False
-        mins[id(node)] = bound
-    return status
+def _improper_flags(tree: PlaneTree) -> list[bool]:
+    """Whether the edge into each vertex is improper, by preorder index."""
+    labels, parents = tree.labels, tree.parents
+    bound = list(labels)
+    flags = [False] * len(labels)
+    # reverse preorder: a vertex's subtree is done before it is met, and
+    # its parent's children come right to left
+    for v in range(len(labels) - 1, 0, -1):
+        p = parents[v]
+        if bound[v] < bound[p]:
+            bound[p] = bound[v]
+            flags[v] = True
+    return flags
 
 
 def classify_edge(tree: PlaneTree, edge: EdgeRef) -> EdgeStatus:
     """Status of one edge; classifies the whole tree, so O(n) per call."""
-    improper = _improper_map(tree.root).get(edge)
-    if improper is None:
+    edges = tree.edges
+    if edge not in edges[1:]:
         raise ValueError(f"no edge with id {edge}")
+    improper = _improper_flags(tree)[edges.index(edge, 1)]
     return EdgeStatus.IMPROPER if improper else EdgeStatus.PROPER
 
 
 def improper_edges(tree: PlaneTree) -> list[EdgeRef]:
     """Edge ids of all improper edges, in first-descent order."""
-    status = _improper_map(tree.root)
-    return [eid for eid, _, _ in edge_list(tree) if status[eid]]
+    return [eid for eid, flag in zip(tree.edges, _improper_flags(tree)) if flag]
 
 
 def tree_stats(tree: PlaneTree) -> TreeStats:
-    status = _improper_map(tree.root)
-    impr = sum(1 for flag in status.values() if flag)
-    degree = 0
-    for node in tree.nodes():
-        if node.label == 1:
-            degree = len(node.children)
-            break
-    return TreeStats(impr, len(status) - impr, tree.root.label, degree)
+    labels = tree.labels
+    impr = sum(_improper_flags(tree))
+    degree = tree.parents.count(labels.index(1)) if 1 in labels else 0
+    return TreeStats(impr, tree.edge_count - impr, labels[0], degree)
 
 
 def is_increasing(tree: PlaneTree) -> bool:
-    """True when every edge goes from a smaller to a larger label."""
-    for node in tree.nodes():
-        for _, child in node.children:
-            if child.label < node.label:
-                return False
-    return True
+    """True when no edge goes from a larger to a smaller label."""
+    labels = tree.labels
+    return all(map(le, map(labels.__getitem__, tree.parents[1:]), labels[1:]))
 
 
 def has_canonical_labels(tree: PlaneTree) -> bool:
     """True when the labels are exactly 1..n+1 for a tree with n edges."""
     # against the vertex count: a repeated label shrinks the set, not the count
-    labels = [node.label for node in tree.nodes()]
-    return set(labels) == set(range(1, len(labels) + 1))
+    return set(tree.labels) == set(range(1, len(tree.labels) + 1))

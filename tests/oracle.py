@@ -1,14 +1,25 @@
 """Reference implementations kept as the differential oracle.
 
-These are the path-copying versions of the flip, the two bijections, leaf
-insertion, the uniform increasing sampler and the increasing enumerator that
-the library used before its mutable array core.  Each rebuilds the ancestors
-of a changed vertex as new ``Node`` values, so a flip or an insertion costs
-O(n) and a whole bijection or sample O(n^2); that is fine at test sizes.
-They exist only to be compared against the library with ``==``, which checks
+The library's trees are flat preorder arrays.  The oracle keeps the tree
+core the library had before them: immutable ``Node`` values, each a label
+plus ordered (edge id, child) pairs, wrapped in a :class:`NodeTree`.  On
+that core sit the old character-by-character parser and the old renderer,
+the old classifier, and the old in-place flip on a first-child/next-sibling
+copy built from ``Node`` values (``_SiblingArrays``) with the two bijections
+on it.  :func:`nodes` and :func:`flat` convert between the two
+representations; :func:`flat` goes through the library's checked
+``PlaneTree(handle, tags)``.
+
+Beside that core are the path-copying versions of the flip, the two
+bijections, leaf insertion, the uniform increasing sampler and the
+increasing enumerator that the library used before any array core.  Each
+rebuilds the ancestors of a changed vertex as new ``Node`` values, so a flip
+or an insertion costs O(n) and a whole bijection or sample O(n^2); that is
+fine at test sizes.  Every public function here takes and returns library
+trees, so it can be compared against the library with ``==``, which checks
 labels, child order, edge ids and tags.
 
-Beside them are the exhaustive routes the library used before its in-place
+Then come the exhaustive routes the library used before its in-place
 enumeration kernels: the labeled enumerators that loop over shapes and
 permutations themselves, the per-shape histogram that recomputes every
 subtree minimum and every improper count for each labeling, and the
@@ -28,22 +39,468 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import permutations
 
-from planetrees.families import build_tree, plane_shapes, shape_arrays
-
+from planetrees.families import plane_shapes, shape_arrays
 from planetrees.tree import (
     EdgeStatus,
     IMPROPER_TAG,
     PROPER_TAG,
     ROOT_TAG,
-    Node,
+    TAGS,
     PlaneTree,
-    edge_list,
-    has_canonical_labels,
-    improper_edges,
-    is_increasing,
-    preorder,
+    TreeParseError,
 )
 
+
+# ---- the Node core ----
+
+class Node:
+    """A vertex: an integer label plus ordered (edge id, child) pairs."""
+
+    __slots__ = ("label", "children")
+
+    def __init__(self, label, children=()):
+        self.label = label
+        self.children = tuple(children)
+
+    def __repr__(self):
+        return f"Node({self.label}, {len(self.children)} children)"
+
+
+class NodeTree:
+    """A tree of ``Node`` values plus its tags, ``None`` when untagged."""
+
+    __slots__ = ("root", "tags")
+
+    def __init__(self, root, tags=None):
+        self.root = root
+        self.tags = dict(tags) if tags else None
+
+    @property
+    def is_tagged(self):
+        return self.tags is not None
+
+    def nodes(self):
+        return preorder(self.root)
+
+    def node(self, label):
+        for node in self.nodes():
+            if node.label == label:
+                return node
+        raise ValueError(f"no vertex labeled {label}")
+
+    def __eq__(self, other):
+        if not isinstance(other, NodeTree):
+            return NotImplemented
+        if self.tags != other.tags:
+            return False
+        stack = [(self.root, other.root)]
+        while stack:
+            a, b = stack.pop()
+            if a.label != b.label or len(a.children) != len(b.children):
+                return False
+            for (ea, ca), (eb, cb) in zip(a.children, b.children):
+                if ea != eb:
+                    return False
+                stack.append((ca, cb))
+        return True
+
+    __hash__ = None
+
+
+def preorder(root):
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        yield node
+        for _, child in reversed(node.children):
+            stack.append(child)
+
+
+def nodes(tree):
+    """The library tree as a :class:`NodeTree`."""
+    labels, parents, edges = tree.root
+    kids = [[] for _ in labels]
+    for v in range(len(labels) - 1, 0, -1):  # right to left
+        kids[parents[v]].append(v)
+    built = [None] * len(labels)
+    for v in range(len(labels) - 1, -1, -1):
+        built[v] = Node(labels[v], [(edges[c], built[c])
+                                    for c in reversed(kids[v])])
+    return NodeTree(built[0], tree.tags)
+
+
+def from_nodes(root, tags=None):
+    """A library tree from a hand-built ``Node``, through :func:`flat`."""
+    return flat(NodeTree(root, tags))
+
+
+def flat(tree):
+    """The :class:`NodeTree` as a checked library tree."""
+    labels, parents, edges = [], [], []
+    stack = [(-1, -1, tree.root)]
+    while stack:
+        p, eid, node = stack.pop()
+        v = len(labels)
+        labels.append(node.label)
+        parents.append(p)
+        edges.append(eid)
+        for e, child in reversed(node.children):
+            stack.append((v, e, child))
+    return PlaneTree((labels, parents, edges), tree.tags)
+
+
+def node_parse_tree(text):
+    """The character-by-character parser, to a :class:`NodeTree`."""
+    length = len(text)
+
+    def skip(p):
+        while p < length and text[p].isspace():
+            p += 1
+        return p
+
+    def read_label(p):
+        p = skip(p)
+        start = p
+        while p < length and text[p].isdigit():
+            p += 1
+        if p == start:
+            raise TreeParseError("expected a label", start)
+        value = int(text[start:p])
+        if value < 1:
+            raise TreeParseError("labels must be positive", start)
+        return value, p
+
+    seen = set()
+    tags = {}
+    header_pos = []  # text offset of each edge's child label
+    next_eid = 0
+
+    def read_header(p):
+        # child label with optional ":tag"; assigns the next edge id
+        nonlocal next_eid
+        p = skip(p)
+        header_pos.append(p)
+        label, p = read_label(p)
+        if label in seen:
+            raise TreeParseError(f"duplicate label {label}", header_pos[-1])
+        seen.add(label)
+        eid = next_eid
+        next_eid += 1
+        p = skip(p)
+        if p < length and text[p] == ":":
+            p = skip(p + 1)
+            if p >= length or text[p] not in TAGS:
+                raise TreeParseError("expected tag x, y, or t", p)
+            tags[eid] = text[p]
+            p += 1
+        return [label, eid, []], p
+
+    pos = skip(0)
+    root_label, pos = read_label(pos)
+    seen.add(root_label)
+    pos = skip(pos)
+    if pos < length and text[pos] == ":":
+        raise TreeParseError("the root cannot carry a tag", pos)
+
+    # frames: [label, edge id from parent (None for root), children so far]
+    stack = []
+    cur = [root_label, None, []]
+    while True:
+        pos = skip(pos)
+        if pos < length and text[pos] == "(":
+            stack.append(cur)
+            cur, pos = read_header(pos + 1)
+            continue
+        # cur has no children group: close it and bubble upward
+        while True:
+            node = Node(cur[0], tuple(cur[2]))
+            if not stack:
+                pos = skip(pos)
+                if pos != length:
+                    raise TreeParseError("unexpected trailing input", pos)
+                if tags and len(tags) != next_eid:
+                    for eid in range(next_eid):
+                        if eid not in tags:
+                            raise TreeParseError(
+                                "either all edges or none must be tagged",
+                                header_pos[eid])
+                return NodeTree(node, tags)
+            pos = skip(pos)
+            if pos >= length:
+                raise TreeParseError("expected ',' or ')'", pos)
+            ch = text[pos]
+            if ch == ",":
+                stack[-1][2].append((cur[1], node))
+                cur, pos = read_header(pos + 1)
+                break
+            if ch == ")":
+                stack[-1][2].append((cur[1], node))
+                cur = stack.pop()
+                pos += 1
+                continue
+            raise TreeParseError("expected ',' or ')'", pos)
+
+
+def node_render_tree(tree):
+    tags = tree.tags
+    parts = [str(tree.root.label)]
+    stack = []
+    if tree.root.children:
+        parts.append("(")
+        stack.append([tree.root.children, 0])
+    while stack:
+        children, idx = stack[-1]
+        if idx == len(children):
+            parts.append(")")
+            stack.pop()
+            continue
+        if idx:
+            parts.append(",")
+        stack[-1][1] = idx + 1
+        eid, node = children[idx]
+        parts.append(str(node.label))
+        if tags is not None:
+            parts.append(":" + tags[eid])
+        if node.children:
+            parts.append("(")
+            stack.append([node.children, 0])
+    return "".join(parts)
+
+
+def parse_tree(text):
+    return flat(node_parse_tree(text))
+
+
+def render_tree(tree):
+    return node_render_tree(nodes(tree))
+
+
+def node_edge_list(tree):
+    out = []
+    stack = [(None, 0, tree.root)]
+    while stack:
+        eid, parent_label, node = stack.pop()
+        if eid is not None:
+            out.append((eid, parent_label, node.label))
+        for e, child in reversed(node.children):
+            stack.append((e, node.label, child))
+    return out
+
+
+def node_improper_map(root):
+    """Whether each edge is improper: a minima pass and a bound pass."""
+    mins = {}  # subtree minimum by id(node)
+    status = {}
+    for node in reversed(list(preorder(root))):
+        bound = node.label
+        for eid, child in reversed(node.children):
+            m = mins[id(child)]
+            if m < bound:
+                status[eid] = True
+                bound = m
+            else:
+                status[eid] = False
+        mins[id(node)] = bound
+    return status
+
+
+def node_improper_edges(tree):
+    status = node_improper_map(tree.root)
+    return [eid for eid, _, _ in node_edge_list(tree) if status[eid]]
+
+
+def node_is_increasing(tree):
+    for node in tree.nodes():
+        for _, child in node.children:
+            if child.label < node.label:
+                return False
+    return True
+
+
+def node_has_canonical_labels(tree):
+    labels = [node.label for node in tree.nodes()]
+    return set(labels) == set(range(1, len(labels) + 1))
+
+
+def node_build_tree(kids, labels):
+    """A tree from preorder children arrays; edge into vertex v is v-1."""
+    built = [None] * len(kids)
+    for v in range(len(kids) - 1, -1, -1):
+        built[v] = Node(labels[v], [(c - 1, built[c]) for c in kids[v]])
+    return NodeTree(built[0])
+
+
+class _SiblingArrays:
+    """The in-place flip on a first-child/next-sibling copy of ``Node``
+    values, as the library had it: parent pointers valid only at the two
+    ends of each sibling list."""
+
+    def __init__(self, root):
+        label, edge = [], []
+        first, last, prev, next_, parent = [], [], [], [], []
+        child = {}
+        stack = [(None, root)]
+        above = [-1]
+        while stack:
+            eid, node = stack.pop()
+            p = above.pop()
+            v = len(label)
+            label.append(node.label)
+            edge.append(eid)
+            first.append(-1)
+            last.append(-1)
+            next_.append(-1)
+            parent.append(p)
+            if p < 0:
+                prev.append(-1)
+            else:
+                child[eid] = v
+                before = last[p]
+                prev.append(before)
+                if before < 0:
+                    first[p] = v
+                else:
+                    next_[before] = v
+                last[p] = v
+            stack.extend(reversed(node.children))
+            above.extend([v] * len(node.children))
+        self.label, self.edge, self.child = label, edge, child
+        self.first, self.prev, self.next = first, prev, next_
+        self.parent = parent
+        self.root = 0
+
+    def flip(self, eid):
+        j = self.child.get(eid)
+        if j is None:
+            raise ValueError(f"no edge with id {eid}")
+        first, prev, next_, parent = self.first, self.prev, self.next, self.parent
+        a = b = j
+        while prev[a] >= 0 and next_[b] >= 0:
+            a = prev[a]
+            b = next_[b]
+        i = parent[a] if prev[a] < 0 else parent[b]
+
+        a_last, c_first = prev[j], next_[j]
+        b_first = first[j]
+        up_prev, up_next = prev[i], next_[i]
+
+        prev[j], next_[j] = up_prev, up_next
+        if up_prev < 0 or up_next < 0:
+            up = parent[i]
+            parent[j] = up
+            if up < 0:
+                self.root = j
+            elif up_prev < 0:
+                first[up] = j
+        if up_prev >= 0:
+            next_[up_prev] = j
+        if up_next >= 0:
+            prev[up_next] = j
+
+        parent[i] = j
+        if a_last >= 0:
+            a_first = first[i]
+            first[j] = a_first
+            parent[a_first] = j
+            next_[a_last] = i
+        else:
+            first[j] = i
+        prev[i] = a_last
+        next_[i] = b_first
+        if b_first >= 0:
+            prev[b_first] = i
+
+        first[i] = c_first
+        if c_first >= 0:
+            prev[c_first] = -1
+            parent[c_first] = i
+
+        edge = self.edge
+        above = edge[i]
+        edge[i], edge[j] = eid, above
+        self.child[eid] = i
+        if above is not None:
+            self.child[above] = j
+
+    def tree(self, tags):
+        label, edge, first, next_ = self.label, self.edge, self.first, self.next
+        built = [None] * len(label)
+        order = []
+        stack = [self.root]
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            c = first[v]
+            while c >= 0:
+                stack.append(c)
+                c = next_[c]
+        for v in reversed(order):
+            kids = []
+            c = first[v]
+            while c >= 0:
+                kids.append((edge[c], built[c]))
+                c = next_[c]
+            built[v] = Node(label[v], kids)
+        return NodeTree(built[self.root], tags)
+
+
+def _sibling_flip_x_edges(tree, tags, out_tags):
+    arrays = _SiblingArrays(tree.root)
+    for eid in arrays.edge[1:]:
+        if tags[eid] == IMPROPER_TAG:
+            arrays.flip(eid)
+    return arrays.tree(out_tags)
+
+
+def sibling_flip_edge(tree, edge):
+    arrays = _SiblingArrays(nodes(tree).root)
+    arrays.flip(edge)
+    return flat(arrays.tree(tree.tags))
+
+
+def sibling_to_increasing(tree, rooted=False):
+    """The library's forward bijection on the Node core."""
+    tree = nodes(tree)
+    if tree.is_tagged:
+        raise ValueError("input tree is already tagged")
+    if not node_has_canonical_labels(tree):
+        raise ValueError("labels must be exactly 1..n+1")
+    if rooted and tree.root.label != 1:
+        raise ValueError("rooted mode requires root label 1")
+    at_one = {eid for eid, _ in tree.root.children} if rooted else set()
+    tags = {}
+    for eid, improper in node_improper_map(tree.root).items():
+        if improper:
+            tags[eid] = IMPROPER_TAG
+        elif eid in at_one:
+            tags[eid] = ROOT_TAG
+        else:
+            tags[eid] = PROPER_TAG
+    out = _sibling_flip_x_edges(tree, tags, tags)
+    if not node_is_increasing(out):
+        raise RuntimeError("flipping the improper edges left a decreasing edge")
+    return flat(out)
+
+
+def sibling_from_increasing(tree):
+    """The library's inverse bijection on the Node core."""
+    tree = nodes(tree)
+    if not node_is_increasing(tree):
+        raise ValueError("input tree is not increasing")
+    if not node_has_canonical_labels(tree):
+        raise ValueError("labels must be exactly 1..n+1")
+    tags = tree.tags or {}
+    ids = [eid for node in tree.nodes() for eid, _ in node.children]
+    if len(tags) != len(ids) or tags.keys() != set(ids):
+        raise ValueError("every edge must carry a tag")
+    t_edges = {eid for eid, tag in tags.items() if tag == ROOT_TAG}
+    if t_edges and t_edges != {eid for eid, _ in tree.root.children}:
+        raise ValueError("tag t must be on every edge at the root "
+                         "and nowhere else")
+    return flat(_sibling_flip_x_edges(tree, tags, None))
+
+
+# ---- path copying: the flip and the bijections ----
 
 def edge_path(root, edge):
     """(node, child index) pairs from the root down to the edge's parent."""
@@ -62,9 +519,7 @@ def edge_path(root, edge):
     raise ValueError(f"no edge with id {edge}")
 
 
-# ---- the flip and the bijections ----
-
-def flip_edge(tree, edge):
+def _flip(tree, edge):
     path = edge_path(tree.root, edge)
     parent, idx = path[-1]
     slots = parent.children
@@ -76,52 +531,58 @@ def flip_edge(tree, edge):
         ch = ancestor.children
         built = Node(ancestor.label,
                      ch[:at] + ((ch[at][0], built),) + ch[at + 1:])
-    return PlaneTree(built, tree.tags)
+    return NodeTree(built, tree.tags)
+
+
+def flip_edge(tree, edge):
+    return flat(_flip(nodes(tree), edge))
 
 
 def to_increasing(tree, rooted=False):
+    tree = nodes(tree)
     if tree.is_tagged:
         raise ValueError("input tree is already tagged")
-    if not has_canonical_labels(tree):
+    if not node_has_canonical_labels(tree):
         raise ValueError("labels must be exactly 1..n+1")
     if rooted and tree.root.label != 1:
         raise ValueError("rooted mode requires root label 1")
-    flips = improper_edges(tree)
+    flips = node_improper_edges(tree)
     improper = set(flips)
     tags = {}
-    for eid, p, c in edge_list(tree):
+    for eid, p, c in node_edge_list(tree):
         if eid in improper:
             tags[eid] = IMPROPER_TAG
         elif rooted and (p == 1 or c == 1):
             tags[eid] = ROOT_TAG
         else:
             tags[eid] = PROPER_TAG
-    out = PlaneTree(tree.root, tags)
+    out = NodeTree(tree.root, tags)
     for eid in flips:
-        out = flip_edge(out, eid)
-    if not is_increasing(out):
+        out = _flip(out, eid)
+    if not node_is_increasing(out):
         raise RuntimeError("oracle to_increasing produced a non-increasing tree")
-    return out
+    return flat(out)
 
 
 def from_increasing(tree):
     """The inverse as it validated before: only increasing, fully tagged and
     t at the root; the library now also checks labels and the t pattern."""
-    if not is_increasing(tree):
+    tree = nodes(tree)
+    if not node_is_increasing(tree):
         raise ValueError("input tree is not increasing")
     tags = tree.tags or {}
-    edges = edge_list(tree)
+    edges = node_edge_list(tree)
     if len(tags) != len(edges):
         raise ValueError("every edge must carry a tag")
     root_label = tree.root.label
     for eid, p, c in edges:
         if tags[eid] == ROOT_TAG and root_label not in (p, c):
             raise ValueError("tag t is only allowed on edges at the root")
-    out = PlaneTree(tree.root, tags)
+    out = NodeTree(tree.root, tags)
     for eid, _, _ in edges:
         if tags[eid] == IMPROPER_TAG:
-            out = flip_edge(out, eid)
-    return PlaneTree(out.root, None)
+            out = _flip(out, eid)
+    return flat(NodeTree(out.root, None))
 
 
 # ---- leaf insertion, the sampler and the enumerator ----
@@ -177,16 +638,21 @@ def _canonical_ids(root):
     return rebuilt[id(root)]
 
 
-def increasing_trees(n):
+def node_increasing_trees(n):
+    """The roots of the increasing trees, by path-copying leaf insertion."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if n == 0:
-        yield PlaneTree(Node(1))
+        yield Node(1)
         return
-    for prev in increasing_trees(n - 1):
+    for prev in node_increasing_trees(n - 1):
         for slot in range(2 * n - 1):
-            yield PlaneTree(_canonical_ids(
-                _insert_leaf(prev.root, slot, n + 1, n - 1)))
+            yield _canonical_ids(_insert_leaf(prev, slot, n + 1, n - 1))
+
+
+def increasing_trees(n):
+    for root in node_increasing_trees(n):
+        yield from_nodes(root)
 
 
 def _random_increasing_tree(n, rng):
@@ -194,7 +660,7 @@ def _random_increasing_tree(n, rng):
     for m in range(1, n + 1):
         slot = rng.randrange(2 * m - 1)
         root = _insert_leaf(root, slot, m + 1, m - 1)
-    return PlaneTree(_canonical_ids(root))
+    return flat(NodeTree(_canonical_ids(root)))
 
 
 def sample_increasing_tree(n, seed):
@@ -216,7 +682,7 @@ def labelings(n, root_first):
     if n < 0:
         raise ValueError("n must be >= 0")
     for shape in plane_shapes(n):
-        _, kids = shape_arrays(shape)
+        kids = shape_arrays(shape)
         if root_first:
             for rest in permutations(range(2, n + 2)):
                 yield kids, (1,) + rest
@@ -227,19 +693,23 @@ def labelings(n, root_first):
 
 def labeled_trees(n):
     for kids, labels in labelings(n, False):
-        yield build_tree(kids, labels)
+        yield flat(node_build_tree(kids, labels))
 
 
 def root_one_trees(n):
     for kids, labels in labelings(n, True):
-        yield build_tree(kids, labels)
+        yield flat(node_build_tree(kids, labels))
 
 
 def shape_histogram(shape, root_first):
     """(root degree, h) with h[a] the labelings with a improper edges, every
     subtree minimum and every vertex's count computed afresh per labeling."""
-    par, kids = shape_arrays(shape)
-    count = len(par)
+    kids = shape_arrays(shape)
+    count = len(kids)
+    par = [-1] * count
+    for v, here in enumerate(kids):
+        for c in here:
+            par[c] = v
     scan = [(v, tuple(reversed(kids[v]))) for v in range(count) if kids[v]]
     hist = [0] * count
     if root_first:
@@ -286,7 +756,7 @@ def root_degree_counts(n):
 def classify_edge_by_min_sets(tree, edge):
     """Compare the minimum of the labels weakly below the edge with the
     minimum of the parent label and every right-sibling subtree label."""
-    parent, idx = edge_path(tree.root, edge)[-1]
+    parent, idx = edge_path(nodes(tree).root, edge)[-1]
     _, child = parent.children[idx]
     below = {node.label for node in preorder(child)}
     against = {parent.label}
@@ -310,7 +780,7 @@ class Decomposition:
 
 
 def decompose(tree, edge):
-    parent, idx = edge_path(tree.root, edge)[-1]
+    parent, idx = edge_path(nodes(tree).root, edge)[-1]
     _, child = parent.children[idx]
     return Decomposition(
         parent=parent,
@@ -382,4 +852,4 @@ def stirling_to_tree(seq):
             open_labels.append(label)
             eid += 1
     root_label, root_children = frames[0]
-    return PlaneTree(Node(root_label, tuple(root_children)))
+    return flat(NodeTree(Node(root_label, tuple(root_children))))

@@ -256,6 +256,27 @@ def test_verify_jobs_agree(capsys):
     assert serial == parallel
 
 
+def test_verify_starts_one_pool_per_run(capsys, monkeypatch):
+    # the default thm1 sweep makes 14 histogram sums; they share one pool
+    import concurrent.futures
+    from planetrees import polynomials
+    started = []
+    real = concurrent.futures.ProcessPoolExecutor
+
+    def counting(*args, **kwargs):
+        started.append(kwargs.get("max_workers"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counting)
+    for jobs, pools in (("2", [2]), ("1", [])):
+        # no memoized table, so that every sum is computed in this run
+        monkeypatch.setattr(polynomials, "_ENUMERATED", {})
+        started.clear()
+        code, _, _ = run(capsys, "verify", "thm1", "--jobs", jobs)
+        assert code == 0
+        assert started == pools
+
+
 def test_verify_failure_exits_one(capsys, monkeypatch):
     # simulate a mismatch to pin the exit code contract
     def broken(n, *, force=False, jobs=1):

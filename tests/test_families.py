@@ -111,7 +111,7 @@ def test_enumerated_trees_are_well_formed():
 def test_root_one_matches_filtered_labeled():
     for n in range(5):
         filtered = {render_tree(t) for t in labeled_trees(n)
-                    if t.root.label == 1}
+                    if t.labels[0] == 1}
         assert {render_tree(t) for t in root_one_trees(n)} == filtered
 
 

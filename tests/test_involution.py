@@ -30,8 +30,6 @@ from planetrees import (
     tree_stats,
 )
 
-from planetrees.tree import preorder
-
 import oracle
 from conftest import FIG_LABELED, FIG_TAGGED
 
@@ -47,7 +45,8 @@ def test_decompose_figure():
     dec = oracle.decompose(tree, edge_id(tree, 5, 3))
     assert dec.parent.label == 5
     assert dec.child.label == 3
-    assert [render_tree(PlaneTree(node)) for _, node in dec.left] == ["1(7)"]
+    assert [oracle.node_render_tree(oracle.NodeTree(node))
+            for _, node in dec.left] == ["1(7)"]
     assert [node.label for _, node in dec.below] == [8, 2, 6, 4]
     assert dec.right == ()
 
@@ -95,7 +94,7 @@ def _place(root, label):
     """(parent label, child index, incoming edge id) of a vertex."""
     if root.label == label:
         return None, 0, None
-    for node in preorder(root):
+    for node in oracle.preorder(root):
         for k, (eid, child) in enumerate(node.children):
             if child.label == label:
                 return node.label, k, eid
@@ -103,7 +102,7 @@ def _place(root, label):
 
 
 def _subtrees(children):
-    return [(eid, PlaneTree(node)) for eid, node in children]
+    return [(eid, oracle.NodeTree(node)) for eid, node in children]
 
 
 def test_flip_rewires_as_documented():
@@ -114,16 +113,18 @@ def test_flip_rewires_as_documented():
             for e, i, j in edge_list(tree):
                 pieces = oracle.decompose(tree, e)
                 out = flip_edge(tree, e)
+                before, after = oracle.nodes(tree), oracle.nodes(out)
                 # j sits where i was, under i's former parent edge
-                assert _place(out.root, j) == _place(tree.root, i)
+                assert _place(after.root, j) == _place(before.root, i)
                 # j's children are roots(A) ++ [i] ++ roots(B), i's are roots(C)
-                assert _subtrees(out.node(j).children) == (
-                    _subtrees(pieces.left) + [(e, PlaneTree(out.node(i)))]
+                assert _subtrees(after.node(j).children) == (
+                    _subtrees(pieces.left)
+                    + [(e, oracle.NodeTree(after.node(i)))]
                     + _subtrees(pieces.below))
-                assert _subtrees(out.node(i).children) == _subtrees(pieces.right)
+                assert _subtrees(after.node(i).children) == _subtrees(pieces.right)
                 # ids: e now joins j to i, i's old edge enters j, the A edges
                 # leave j, and every other edge keeps both ends
-                up = _place(tree.root, i)[2]
+                up = _place(before.root, i)[2]
                 left = {eid for eid, _ in pieces.left}
                 moved = set()
                 for eid, p, c in edge_list(tree):
@@ -268,11 +269,12 @@ def test_rooted_round_trip_exhaustive():
 def test_rooted_mode_tags_and_degree():
     for tree in root_one_trees(4):
         out = to_increasing(tree, rooted=True)
-        assert len(out.root.children) == len(tree.root.children)
-        root_eids = {e for e, _ in out.root.children}
+        out_root, in_root = oracle.nodes(out).root, oracle.nodes(tree).root
+        assert len(out_root.children) == len(in_root.children)
+        root_eids = {e for e, _ in out_root.children}
         t_eids = {e for e, tag in out.tags.items() if tag == "t"}
         assert t_eids == root_eids
-        assert root_eids == {e for e, _ in tree.root.children}
+        assert root_eids == {e for e, _ in in_root.children}
 
 
 def test_inverse_errors():

@@ -1,5 +1,10 @@
-"""The array core, the enumeration kernels and the Stirling walk against
-the references in ``oracle.py``.
+"""The flat tree core, the enumeration kernels and the Stirling walk
+against the references in ``oracle.py``.
+
+The parser must accept what the oracle's character-by-character parser
+accepts and reject the rest with the same message and position.  The flip
+and the two bijections must agree with both the path-copying references and
+the ``Node`` array core the library had before its flat trees.
 
 Every tree comparison is ``==`` on trees, which checks labels, child order,
 edge ids and tags, so the in-place flip, the two bijections, the increasing
@@ -24,9 +29,9 @@ from hypothesis import given, strategies as st
 
 import oracle
 from planetrees import (
-    Node,
     PlaneTree,
     Polynomial,
+    TreeParseError,
     blocks,
     edge_list,
     flip_edge,
@@ -108,7 +113,7 @@ def test_flip_sequences_in_any_order_match_oracle(n, seed):
     # must also stay right under any order, repeats included
     rng = random.Random(seed)
     tree = sample_labeled_tree(n, seed)
-    arrays = _SiblingArrays(tree.root)
+    arrays = _SiblingArrays(tree)
     expected = tree
     for _ in range(3 * n):
         eid = rng.randrange(n)
@@ -117,16 +122,89 @@ def test_flip_sequences_in_any_order_match_oracle(n, seed):
     assert arrays.tree(None) == expected
 
 
+def _root_one(tree):
+    # swap labels so that the root is 1, keeping the shape
+    swap = {tree.labels[0]: 1, 1: tree.labels[0]}
+    return parse_tree(re.sub(r"\d+", lambda m: str(swap.get(int(m[0]), m[0])),
+                             render_tree(tree)))
+
+
 @given(st.integers(1, 300), st.integers(0, 10**9))
 def test_random_rooted_trees_match_oracle(n, seed):
-    tree = sample_labeled_tree(n, seed)
-    # swap labels so that the root is 1, keeping the shape
-    swap = {tree.root.label: 1, 1: tree.root.label}
-    rooted = parse_tree(re.sub(r"\d+", lambda m: str(swap.get(int(m[0]), m[0])),
-                               render_tree(tree)))
+    rooted = _root_one(sample_labeled_tree(n, seed))
     out = to_increasing(rooted, rooted=True)
     assert out == oracle.to_increasing(rooted, rooted=True)
     assert from_increasing(out) == rooted
+
+
+# ---- the Node core: text, classification, the flip and the bijections ----
+
+ALPHABET = "0123456789(),:xyzt \t"
+
+
+def _parsed(parse, text):
+    try:
+        return parse(text)
+    except TreeParseError as err:
+        return str(err), err.position
+
+
+def _parse_like_oracle(text):
+    assert _parsed(parse_tree, text) == _parsed(oracle.parse_tree, text)
+
+
+@given(st.text(ALPHABET, max_size=24))
+def test_parser_matches_oracle_parser_on_any_text(text):
+    _parse_like_oracle(text)
+
+
+@given(st.integers(0, 12), st.integers(0, 10**9), st.data())
+def test_parser_matches_oracle_parser_on_edited_trees(n, seed, data):
+    # a valid text, tagged or not, with a few characters inserted, deleted
+    # or replaced, so that faults also sit deep inside long input
+    tree = sample_labeled_tree(n, seed)
+    text = render_tree(to_increasing(tree) if seed % 2 else tree)
+    for _ in range(data.draw(st.integers(1, 3))):
+        at = data.draw(st.integers(0, len(text)))
+        new = data.draw(st.sampled_from(ALPHABET))
+        cut = data.draw(st.integers(0, 1))
+        text = text[:at] + new * data.draw(st.integers(0, 1)) + text[at + cut:]
+    _parse_like_oracle(text)
+
+
+def _like_node_core(tree, rooted, text=True):
+    out = to_increasing(tree, rooted=rooted)
+    assert out == oracle.sibling_to_increasing(tree, rooted=rooted)
+    assert from_increasing(out) == oracle.sibling_from_increasing(out) == tree
+    if not text:
+        return
+    for text in (render_tree(tree), render_tree(out)):
+        assert text == oracle.render_tree(parse_tree(text))
+        assert parse_tree(text) == oracle.parse_tree(text)
+    node = oracle.nodes(tree)
+    assert edge_list(tree) == oracle.node_edge_list(node)
+    assert improper_edges(tree) == oracle.node_improper_edges(node)
+
+
+def test_flat_core_matches_node_core_exhaustive():
+    # the text and the classifier to n = 4; the hypothesis tests go further
+    for n in range(6):
+        for tree in labeled_trees(n):
+            _like_node_core(tree, False, n < 5)
+        for tree in root_one_trees(n):
+            _like_node_core(tree, True, n < 5)
+        for tree in labeled_trees(min(n, 4)):
+            for eid, _, _ in edge_list(tree):
+                assert flip_edge(tree, eid) == oracle.sibling_flip_edge(tree, eid)
+
+
+@given(st.integers(1, 300), st.integers(0, 10**9))
+def test_random_trees_match_node_core(n, seed):
+    tree = sample_labeled_tree(n, seed)
+    _like_node_core(tree, False)
+    _like_node_core(_root_one(tree), True)
+    eid = random.Random(seed).randrange(n)
+    assert flip_edge(tree, eid) == oracle.sibling_flip_edge(tree, eid)
 
 
 def test_sampler_matches_oracle():
@@ -189,8 +267,8 @@ def test_increasing_kernel_matches_oracle_lengths_and_root_degrees():
     # one pass over the oracle trees per n gives both the sequence length
     # and the root-degree Counter
     for n in range(8):
-        degrees = Counter(len(tree.root.children)
-                          for tree in oracle.increasing_trees(n))
+        degrees = Counter(len(root.children)
+                          for root in oracle.node_increasing_trees(n))
         assert sum(1 for _ in _increasing_kids(n)) == sum(degrees.values())
         assert root_degree_polynomial(n) == Polynomial(
             {(0, 0, r): c for r, c in degrees.items()})
@@ -252,10 +330,10 @@ BIG = 10**5
 
 
 def _chain(labels):
-    node = Node(labels[-1])
+    node = oracle.Node(labels[-1])
     for eid in range(len(labels) - 2, -1, -1):
-        node = Node(labels[eid], ((eid, node),))
-    return PlaneTree(node)
+        node = oracle.Node(labels[eid], ((eid, node),))
+    return oracle.from_nodes(node)
 
 
 def test_round_trip_decreasing_path_at_scale():
@@ -263,7 +341,7 @@ def test_round_trip_decreasing_path_at_scale():
     # first-descent order adds one vertex to the left siblings of the next
     tree = _chain(list(range(BIG + 1, 0, -1)))
     out = to_increasing(tree)
-    assert out.root.label == 1
+    assert out.labels[0] == 1
     assert sum(1 for tag in out.tags.values() if tag == "x") == BIG
     assert from_increasing(out) == tree
 
@@ -271,9 +349,10 @@ def test_round_trip_decreasing_path_at_scale():
 def test_round_trip_increasing_star_at_scale():
     # root n+1 over 1..n left to right: every edge is improper, and each
     # flip's child sits at the far left of a long sibling list
-    tree = PlaneTree(Node(BIG + 1, tuple((eid, Node(eid + 1)) for eid in range(BIG))))
+    tree = oracle.from_nodes(oracle.Node(BIG + 1, tuple(
+        (eid, oracle.Node(eid + 1)) for eid in range(BIG))))
     out = to_increasing(tree)
-    assert out.root.label == 1
+    assert out.labels[0] == 1
     assert sum(1 for tag in out.tags.values() if tag == "x") == BIG
     assert from_increasing(out) == tree
 
@@ -292,8 +371,8 @@ def _caterpillar(count):
 def test_text_round_trip_at_scale(shape):
     tree = {
         "decreasing path": lambda: _chain(list(range(BIG + 1, 0, -1))),
-        "increasing star": lambda: PlaneTree(Node(1, tuple(
-            (eid, Node(eid + 2)) for eid in range(BIG)))),
+        "increasing star": lambda: oracle.from_nodes(oracle.Node(1, tuple(
+            (eid, oracle.Node(eid + 2)) for eid in range(BIG)))),
         "caterpillar": lambda: _caterpillar(BIG + 1),
     }[shape]()
     assert tree.edge_count == BIG

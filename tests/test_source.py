@@ -1,6 +1,7 @@
 """Properties of the library source itself."""
 
 import ast
+import re
 from pathlib import Path
 
 import planetrees
@@ -36,3 +37,21 @@ def test_package_keeps_what_the_benchmark_reads():
     assert missing == []
     # the traced pass counts flips by patching this module attribute
     assert callable(planetrees.involution.flip_edge)
+
+
+def test_root_handle_rebuilds_trees_as_the_benchmark_does():
+    # the bigtree workload tags a tree with PlaneTree(t.root, tags) and
+    # strips the tags with PlaneTree(tagged.root)
+    for tree in (planetrees.sample_increasing_tree(40, 7),
+                 planetrees.sample_labeled_tree(40, 7)):
+        tags = {eid: "xy"[eid % 2] for eid in range(tree.edge_count)}
+        tagged = planetrees.PlaneTree(tree.root, tags)
+        assert tagged.tags == tags
+        assert tagged == planetrees.parse_tree(planetrees.render_tree(tagged))
+        plain = planetrees.PlaneTree(tagged.root)
+        assert not plain.is_tagged
+        assert plain == tree
+    forward = planetrees.to_increasing(planetrees.sample_labeled_tree(40, 7))
+    plain = planetrees.PlaneTree(forward.root)
+    assert planetrees.render_tree(plain) == re.sub(
+        r":[xyt]", "", planetrees.render_tree(forward))

@@ -7,10 +7,10 @@ from planetrees import (
     EdgeStatus,
     PlaneTree,
     TreeParseError,
-    Node,
     classify_edge,
     edge_id,
     edge_list,
+    flip_edge,
     has_canonical_labels,
     improper_edges,
     is_increasing,
@@ -23,9 +23,8 @@ from planetrees import (
     tree_stats,
     tree_to_stirling,
 )
-from planetrees.tree import preorder
-
 from conftest import FIG_INCREASING, FIG_LABELED, FIG_TAGGED
+import oracle
 from oracle import classify_edge_by_min_sets
 
 
@@ -115,14 +114,7 @@ def test_edge_id_lookup(fig_labeled):
 
 def test_preorder_sequence(fig_labeled):
     tree = parse_tree(fig_labeled)
-    assert [node.label for node in preorder(tree.root)] == [5, 1, 7, 3, 8, 2, 6, 4]
-
-
-def test_node_lookup(fig_labeled):
-    tree = parse_tree(fig_labeled)
-    assert tree.node(3).label == 3
-    with pytest.raises(ValueError):
-        tree.node(9)
+    assert list(tree.labels) == [5, 1, 7, 3, 8, 2, 6, 4]
 
 
 # ---- classification ----
@@ -210,7 +202,8 @@ def test_has_canonical_labels():
 def test_repeated_label_is_not_canonical():
     # two vertices labeled 2 make the label set {1, 2}, which is 1..2 but
     # not 1..3 for three vertices
-    tree = PlaneTree(Node(1, [(0, Node(2)), (1, Node(2))]))
+    tree = oracle.from_nodes(oracle.Node(1, [(0, oracle.Node(2)),
+                                             (1, oracle.Node(2))]))
     assert not has_canonical_labels(tree)
     with pytest.raises(ValueError, match="labels must be exactly"):
         to_increasing(tree)
@@ -223,6 +216,39 @@ def test_tags_survive_round_trip():
     assert tree.is_tagged
     assert sorted(tree.tags.values()).count("x") == 3
     assert render_tree(tree) == FIG_TAGGED
+
+
+def test_repeated_edge_id_is_rejected_where_trees_are_built():
+    # the edges into vertices 1 and 2 would both be id 0: every way into
+    # the edge-keyed functions goes through the checked constructor
+    handle = ((2, 1, 3), (-1, 0, 0), (-1, 0, 0))
+    with pytest.raises(ValueError, match="repeated edge id"):
+        PlaneTree(handle)
+    with pytest.raises(ValueError, match="repeated edge id"):
+        flip_edge(PlaneTree(handle), 0)
+    with pytest.raises(ValueError, match="repeated edge id"):
+        to_increasing(PlaneTree(handle))
+    with pytest.raises(ValueError, match="repeated edge id"):
+        improper_edges(PlaneTree(handle))
+    with pytest.raises(ValueError, match="repeated edge id"):
+        oracle.from_nodes(oracle.Node(2, [(0, oracle.Node(1)),
+                                          (0, oracle.Node(3))]))
+
+
+@pytest.mark.parametrize("handle", [
+    ((), (), ()),                                 # no root
+    ((1, 2), (-1, 0), (-1,)),                     # lengths differ
+    ((1, 2), (-1, 0), (0, 1)),                    # the root has an edge
+    ((1, 2), (-1, 0), (-1, -2)),                  # a negative edge id
+    ((1, 2), (-1, -1), (-1, 0)),                  # two roots
+    ((1, 2), (-1, 1), (-1, 0)),                   # a vertex is its own parent
+    ((1, 2, 3, 4), (-1, 0, 0, 1), (-1, 0, 1, 2)),  # 2's subtree is split
+])
+def test_handle_must_list_a_tree_in_preorder(handle):
+    with pytest.raises(ValueError):
+        PlaneTree(handle)
+    assert render_tree(PlaneTree(((1, 2, 3, 4), (-1, 0, 1, 0),
+                                  (-1, 0, 1, 2)))) == "1(2(3),4)"
 
 
 def test_empty_tags_normalize_to_none():
