@@ -227,8 +227,8 @@ def from_increasing(tree: PlaneTree) -> PlaneTree:
     if tags.keys() != set(tree.edges[1:]):
         raise ValueError("every edge must carry a tag")
     t_edges = {eid for eid, tag in tags.items() if tag == ROOT_TAG}
-    at_root = {eid for eid, p in zip(tree.edges, tree.parents) if p == 0}
-    if t_edges and t_edges != at_root:
+    if t_edges and t_edges != {eid for eid, p in zip(tree.edges, tree.parents)
+                               if p == 0}:
         raise ValueError("tag t must be on every edge at the root "
                          "and nowhere else")
     return _flip_x_edges(tree, tags, None)

@@ -29,7 +29,6 @@ from hypothesis import given, strategies as st
 
 import oracle
 from planetrees import (
-    PlaneTree,
     Polynomial,
     TreeParseError,
     blocks,
@@ -172,11 +171,11 @@ def test_parser_matches_oracle_parser_on_edited_trees(n, seed, data):
     _parse_like_oracle(text)
 
 
-def _like_node_core(tree, rooted, text=True):
+def _like_node_core(tree, rooted, check_text=True):
     out = to_increasing(tree, rooted=rooted)
     assert out == oracle.sibling_to_increasing(tree, rooted=rooted)
     assert from_increasing(out) == oracle.sibling_from_increasing(out) == tree
-    if not text:
+    if not check_text:
         return
     for text in (render_tree(tree), render_tree(out)):
         assert text == oracle.render_tree(parse_tree(text))

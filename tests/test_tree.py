@@ -247,8 +247,6 @@ def test_repeated_edge_id_is_rejected_where_trees_are_built():
 def test_handle_must_list_a_tree_in_preorder(handle):
     with pytest.raises(ValueError):
         PlaneTree(handle)
-    assert render_tree(PlaneTree(((1, 2, 3, 4), (-1, 0, 1, 0),
-                                  (-1, 0, 1, 2)))) == "1(2(3),4)"
 
 
 def test_empty_tags_normalize_to_none():
