@@ -46,19 +46,16 @@ from .polynomials import (
     ClosedFormReport,
     EgfReport,
     Polynomial,
-    Series,
     T,
     X,
     Y,
     edge_status_closed_form,
     edge_status_polynomial,
-    egf_series,
     root_degree_closed_form,
     root_degree_counts,
     root_degree_polynomial,
     rooted_closed_form,
     rooted_edge_status_polynomial,
-    sqrt_series,
     verify_closed_forms,
     verify_egf_identities,
 )
@@ -85,11 +82,10 @@ __all__ = [
     "sample_increasing_tree", "sample_increasing_trees",
     "sample_labeled_tree", "sample_labeled_trees",
     "MAX_SERIES_ORDER", "ClosedFormReport", "EgfReport", "Polynomial",
-    "Series", "T", "X", "Y", "edge_status_closed_form",
-    "edge_status_polynomial", "egf_series", "root_degree_closed_form",
-    "root_degree_counts", "root_degree_polynomial", "rooted_closed_form",
-    "rooted_edge_status_polynomial", "sqrt_series", "verify_closed_forms",
-    "verify_egf_identities",
+    "T", "X", "Y", "edge_status_closed_form", "edge_status_polynomial",
+    "root_degree_closed_form", "root_degree_counts", "root_degree_polynomial",
+    "rooted_closed_form", "rooted_edge_status_polynomial",
+    "verify_closed_forms", "verify_egf_identities",
     "block_table", "blocks", "format_permutation", "is_stirling",
     "parse_permutation", "stirling_permutations", "stirling_to_tree",
     "tree_to_stirling",

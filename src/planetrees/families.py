@@ -28,7 +28,7 @@ rotation trick) with a uniform labeling.
 Increasing trees are grown in place, in one mutable list of children per
 vertex (vertex v carries label v+1).  One builder, :func:`build_tree`, turns
 child lists into a :class:`PlaneTree` with edge ids in first-descent order;
-the labeled sampler emits its shape's preorder parents directly.  Slots are
+the labeled trees take their shape's preorder parents directly.  Slots are
 numbered depth-first: vertex v with d children owns slots 0..d, its
 positions among its children, before any slot in its subtrees, and a
 subtree with s edges spans 2s+1 slots.  The kernel walks the slots in that
@@ -118,14 +118,12 @@ def shape_arrays(shape: tuple) -> list[list[int]]:
     return kids
 
 
-def build_tree(kids: list[list[int]], labels=None) -> PlaneTree:
-    """A tree from child lists, vertex 0 the root, and per-vertex labels,
-    vertex v labeled v+1 when ``labels`` is None.  One preorder walk emits
-    the arrays; the edge into the k-th vertex in preorder gets id k-1, the
-    first-descent numbering the parser uses."""
+def build_tree(kids: list[list[int]]) -> PlaneTree:
+    """A tree from child lists, vertex 0 the root and vertex v labeled v+1.
+    One preorder walk emits the arrays; the edge into the k-th vertex in
+    preorder gets id k-1, the first-descent numbering the parser uses."""
     count = len(kids)
-    if labels is None:
-        labels = range(1, count + 1)
+    labels = range(1, count + 1)
     order: list[int] = []
     parents: list[int] = []
     stack = [0]
@@ -173,16 +171,27 @@ def _labelings(n: int,
             yield kids, labels
 
 
+def _labeled_trees(n: int, root_first: bool) -> Iterator[PlaneTree]:
+    # the children arrays are in preorder, so each labeling is the labels
+    # tuple as it stands, and the parents change only with the shape
+    edges = tuple(range(-1, n))
+    kids = parents = None
+    for here, labels in _labelings(n, root_first):
+        if here is not kids:
+            kids = here
+            up = {c: v for v, children in enumerate(kids) for c in children}
+            parents = tuple(up.get(v, -1) for v in range(len(kids)))
+        yield PlaneTree._trusted(labels, parents, edges)
+
+
 def labeled_trees(n: int) -> Iterator[PlaneTree]:
     """All labeled plane trees with n edges, labels 1..n+1."""
-    for kids, labels in _labelings(n, False):
-        yield build_tree(kids, labels)
+    return _labeled_trees(n, False)
 
 
 def root_one_trees(n: int) -> Iterator[PlaneTree]:
     """All labeled plane trees with n edges whose root is labeled 1."""
-    for kids, labels in _labelings(n, True):
-        yield build_tree(kids, labels)
+    return _labeled_trees(n, True)
 
 
 def _preorder(kids: list[list[int]]) -> list[int]:

@@ -136,7 +136,7 @@ class PlaneTree:
 
 _DELIMITERS = re.compile(r"([(),])")
 # the text of one vertex; a fault shows as an empty group or as stray text
-_HEADER = re.compile(r"\s*(?P<label>\d*)\s*"
+_HEADER = re.compile(r"\s*(?P<label>[0-9]*)\s*"
                      r"(?:(?P<colon>:)\s*(?P<tag>[xyt]?))?\s*")
 
 
@@ -219,11 +219,12 @@ def parse_tree(text: str) -> PlaneTree:
             closed = False
         parents.append(stack[-1] if stack else -1)
         piece = parts[i]
-        if piece.isdigit():
+        if piece.isascii() and piece.isdigit():
             labels.append(int(piece))
             continue
         label, colon, tag = piece.partition(":")
-        if colon and i and tag in TAGS and label.isdigit():
+        if (colon and i and tag in TAGS
+                and label.isascii() and label.isdigit()):
             labels.append(int(label))
         else:
             tag = _read_header(parts, labels, i)

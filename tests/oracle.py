@@ -23,7 +23,10 @@ Then come the exhaustive routes the library used before its in-place
 enumeration kernels: the labeled enumerators that loop over shapes and
 permutations themselves, the per-shape histogram that recomputes every
 subtree minimum and every improper count for each labeling, and the
-slot-counting recurrence for the root-degree counts.
+slot-counting recurrence for the root-degree counts.  Beside them is the
+generating-function check the library made before its integer binomial
+convolutions: truncated power series in q with rational ``Polynomial``
+coefficients (:class:`Series`), multiplied out and compared whole.
 
 Last come the helpers that only tests need: the edge classifier by the
 minima of two explicit label sets, the five-piece decomposition of a tree
@@ -34,12 +37,15 @@ a second walk with a ``seen`` set, and decoding through bracket frames).
 
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import permutations
 
-from planetrees.families import plane_shapes, shape_arrays
+from planetrees.families import odd_double_factorial, plane_shapes, shape_arrays
+from planetrees.polynomials import Polynomial, T, X, Y
 from planetrees.tree import (
     EdgeStatus,
     IMPROPER_TAG,
@@ -749,6 +755,117 @@ def root_degree_counts(n):
                 grown[r] += c * (2 * m - r)
         counts = dict(grown)
     return counts
+
+
+# ---- the truncated-series check of the generating-function identities ----
+
+def _poly(value):
+    return value if isinstance(value, Polynomial) else Polynomial.constant(value)
+
+
+class Series:
+    """Power series in q truncated at a fixed order, with Polynomial
+    coefficients over exact rationals."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs):
+        self.coeffs = tuple(map(_poly, coeffs))
+        if not self.coeffs:
+            raise ValueError("a series needs at least the q^0 coefficient")
+
+    @property
+    def order(self):
+        return len(self.coeffs) - 1
+
+    @classmethod
+    def from_polynomial(cls, poly, order):
+        return cls([_poly(poly)] + [Polynomial()] * order)
+
+    def __add__(self, other):
+        if not isinstance(other, Series):
+            return NotImplemented
+        if self.order != other.order:
+            raise ValueError("series orders differ")
+        return Series(a + b for a, b in zip(self.coeffs, other.coeffs))
+
+    def __mul__(self, other):
+        if not isinstance(other, Series):
+            return NotImplemented
+        if self.order != other.order:
+            raise ValueError("series orders differ")
+        n = self.order
+        out = [Polynomial() for _ in range(n + 1)]
+        for i, a in enumerate(self.coeffs):
+            if a.is_zero:
+                continue
+            for j in range(n + 1 - i):
+                b = other.coeffs[j]
+                if not b.is_zero:
+                    out[i + j] = out[i + j] + a * b
+        return Series(out)
+
+    def __eq__(self, other):
+        if not isinstance(other, Series):
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    __hash__ = None
+
+    def __str__(self):
+        lines = []
+        for k, poly in enumerate(self.coeffs):
+            denom = 1
+            for c in poly.coeffs.values():
+                denom = math.lcm(denom, c.denominator)
+            lines.append(f"q^{k}: {poly * denom} / {denom}")
+        return "\n".join(lines)
+
+    def __repr__(self):
+        return f"Series(order={self.order})"
+
+
+def sqrt_series(u, order):
+    """Truncated expansion of sqrt(1 - 2 u q) for a polynomial u.
+
+    The q^m coefficient is -(2m-3)!! u^m / m!  (m >= 1), with the empty
+    double factorial equal to 1.
+    """
+    u = _poly(u)
+    coeffs = [Polynomial.constant(1)]
+    upow = Polynomial.constant(1)
+    for m in range(1, order + 1):
+        upow = upow * u
+        scale = Fraction(-odd_double_factorial(m - 1), math.factorial(m))
+        coeffs.append(upow * scale)
+    return Series(coeffs)
+
+
+def egf_series(polys):
+    """Series whose q^n coefficient is the n-th given polynomial over n!."""
+    return Series(_poly(p) * Fraction(1, math.factorial(n))
+                  for n, p in enumerate(polys))
+
+
+def series_egf_flags(tables):
+    """(P, O, S identity holds) through q^order, order = len(tables) - 1,
+    for per-n tables (P_n, O_n, S_n), by multiplying the series out."""
+    order = len(tables) - 1
+    xy = X + Y
+    sqrt_xy = sqrt_series(xy, order)
+    one = Series.from_polynomial(1, order)
+    t_series = Series.from_polynomial(T, order)
+
+    labeled_ok = egf_series(t[0] for t in tables) * sqrt_xy == one
+
+    rooted_factor = Series.from_polynomial(xy - T, order) + t_series * sqrt_xy
+    rooted_ok = (egf_series(t[1] for t in tables) * rooted_factor
+                 == Series.from_polynomial(xy, order))
+
+    degree_factor = (Series.from_polynomial(1 - T, order)
+                     + t_series * sqrt_series(1, order))
+    degree_ok = egf_series(t[2] for t in tables) * degree_factor == one
+    return labeled_ok, rooted_ok, degree_ok
 
 
 # ---- test-only helpers: a second classifier and the decomposition ----

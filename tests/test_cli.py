@@ -80,6 +80,13 @@ def test_classify_parse_error(capsys):
     assert "error:" in err
 
 
+def test_classify_rejects_non_ascii_digit(capsys):
+    code, out, err = run(capsys, "classify", "1(\u00b2)")
+    assert code == 2
+    assert out == ""
+    assert err == "error: expected a label (at position 2)\n"
+
+
 def test_phi_golden(capsys):
     code, out, _ = run(capsys, "phi", FIG_LABELED, "5,1")
     assert code == 0

@@ -13,9 +13,11 @@ path copying gave.  The scale tests at n = 10^5 run the two shapes on which
 finding a parent by walking its sibling list to one fixed end is quadratic.
 The enumeration kernels must visit what the old loops built, in the same
 order, and the incremental histogram must count what recomputing every
-labeling in full counted.  The single Stirling stack walk must accept,
-reject and decode exactly what the multiplicity check, the second blocks
-walk and the bracket frames did.
+labeling in full counted.  The integer check of the generating-function
+identities must flag exactly what multiplying out the truncated series
+flagged, on the true tables and on tables with one coefficient bumped.  The
+single Stirling stack walk must accept, reject and decode exactly what the
+multiplicity check, the second blocks walk and the bracket frames did.
 """
 
 import math
@@ -29,8 +31,13 @@ from hypothesis import given, strategies as st
 
 import oracle
 from planetrees import (
+    MAX_SERIES_ORDER,
+    PlaneTree,
     Polynomial,
+    T,
     TreeParseError,
+    X,
+    Y,
     blocks,
     edge_list,
     flip_edge,
@@ -50,6 +57,7 @@ from planetrees import (
     stirling_to_tree,
     to_increasing,
     tree_to_stirling,
+    verify_egf_identities,
 )
 from planetrees.families import (
     _increasing_kids,
@@ -58,6 +66,7 @@ from planetrees.families import (
     plane_shapes,
 )
 from planetrees.involution import _SiblingArrays
+from planetrees.polynomials import _coefficient_table, _egf_holds
 from planetrees.polynomials import _shape_histogram
 
 
@@ -247,8 +256,7 @@ def test_incremental_histogram_matches_oracle_every_shape():
 
 def test_labelings_kernel_matches_oracle_stream():
     # equal streams have equal lengths, so this also pins the kernel's visit
-    # count to the old loops'; the wrappers build one tree per pair with the
-    # same build_tree, so equal streams give equal tree sequences
+    # count to the old loops'
     for n in range(7):
         for root_first in (False, True):
             assert _same_stream(_labelings(n, root_first),
@@ -281,6 +289,51 @@ def test_root_degree_closed_form_matches_recurrence():
         for r in range(1, n + 1):
             top = r * math.factorial(n - 1) * math.comb(2 * n - r - 1, n - r)
             assert top % 2 ** (n - r) == 0
+
+
+# ---- the generating-function identities ----
+
+def test_egf_check_matches_series_check():
+    cases = ([("closed", order) for order in range(13)]
+             + [("enumerated", order) for order in range(7)]
+             + [("auto", order) for order in range(MAX_SERIES_ORDER + 1)])
+    for source, order in cases:
+        report = verify_egf_identities(order, source=source, force=True)
+        tables = [_coefficient_table(n, source) for n in range(order + 1)]
+        assert ((report.labeled_ok, report.rooted_ok, report.degree_ok)
+                == oracle.series_egf_flags(tables) == (True, True, True))
+
+
+# (c, s, u) of A(q) ((c-s) + s sqrt(1-2uq)) = c for P, O and S
+EGF_SHAPES = [(1, 1, X + Y), (X + Y, T, X + Y), (1, T, 1)]
+
+
+def test_egf_check_fails_on_a_bumped_coefficient():
+    order = 8
+    tables = [_coefficient_table(n, "closed") for n in range(order + 1)]
+    for n in range(order + 1):
+        for which, (c, s, u) in enumerate(EGF_SHAPES):
+            coeffs = [row[which] for row in tables]
+            terms = sorted(coeffs[n].coeffs)
+            key = terms[len(terms) // 2]
+            coeffs[n] = coeffs[n] + Polynomial({key: 1})
+            assert not _egf_holds(coeffs, c, s, u)
+            bumped = [list(row) for row in tables]
+            bumped[n][which] = coeffs[n]
+            flags = oracle.series_egf_flags(bumped)
+            assert flags == tuple(k != which for k in range(3))
+
+
+def test_egf_check_fails_on_a_scaled_table():
+    # the convolutions for N >= 1 are linear in the table, so only A_0 = 1
+    # tells a table from its double
+    for order in (0, 1, 8):
+        tables = [_coefficient_table(n, "closed") for n in range(order + 1)]
+        doubled = [[2 * poly for poly in row] for row in tables]
+        for which, (c, s, u) in enumerate(EGF_SHAPES):
+            assert _egf_holds([row[which] for row in tables], c, s, u)
+            assert not _egf_holds([row[which] for row in doubled], c, s, u)
+        assert oracle.series_egf_flags(doubled) == (False, False, False)
 
 
 # ---- the Stirling walk ----
@@ -362,7 +415,8 @@ def _caterpillar(count):
     kids = [[] for _ in range(count)]
     for v in range(0, count - 2, 2):
         kids[v] = [v + 1, v + 2]
-    return build_tree(kids, list(range(count, 0, -1)))
+    tree = build_tree(kids)
+    return PlaneTree((range(count, 0, -1), tree.parents, tree.edges))
 
 
 @pytest.mark.parametrize("shape", ["decreasing path", "increasing star",

@@ -1,13 +1,15 @@
 """Properties of the library source itself."""
 
 import ast
+import doctest
 import re
 from pathlib import Path
 
 import planetrees
 
 SOURCES = sorted(Path(planetrees.__file__).parent.glob("*.py"))
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def test_no_assert_as_runtime_check():
@@ -55,3 +57,10 @@ def test_root_handle_rebuilds_trees_as_the_benchmark_does():
     plain = planetrees.PlaneTree(forward.root)
     assert planetrees.render_tree(plain) == re.sub(
         r":[xyt]", "", planetrees.render_tree(forward))
+
+
+def test_readme_library_examples_run():
+    # the README's Library block is a doctest session; run it as one
+    results = doctest.testfile(str(ROOT / "README.md"), module_relative=False)
+    assert results.failed == 0
+    assert results.attempted == 9

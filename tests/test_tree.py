@@ -85,6 +85,18 @@ def test_error_position_points_at_offender():
     assert err.value.position == 4
 
 
+@pytest.mark.parametrize("text, position", [
+    ("1(\u00b2)", 2),        # superscript two: a digit, not a decimal
+    ("1(\u0663)", 2),        # Arabic-Indic three: a decimal, not ASCII
+    ("1(2:x,\u0663:y)", 6),  # the same on the tagged path
+])
+def test_labels_are_ascii_digits_only(text, position):
+    with pytest.raises(TreeParseError) as err:
+        parse_tree(text)
+    assert str(err.value) == f"expected a label (at position {position})"
+    assert err.value.position == position
+
+
 def test_equality_is_structural():
     assert parse_tree("1(2,3)") == parse_tree("1(2,3)")
     assert parse_tree("1(2,3)") != parse_tree("1(3,2)")
