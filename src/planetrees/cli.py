@@ -31,11 +31,7 @@ from .families import (
     sample_labeled_trees,
 )
 from .involution import flip_edge, from_increasing, to_increasing
-from .polynomials import (
-    _worker_pool,
-    verify_closed_forms,
-    verify_egf_identities,
-)
+from .polynomials import verify_closed_forms, verify_egf_identities
 from .stirling import (
     blocks,
     format_permutation,
@@ -119,10 +115,10 @@ def _cmd_stirling(args) -> int:
     return 0
 
 
-def _verify_thm1(ns, jobs: int, force: bool, show_polys: bool) -> int:
+def _verify_thm1(ns, force: bool, show_polys: bool) -> int:
     failures = 0
     for n in ns:
-        report = verify_closed_forms(n, force=force, jobs=jobs)
+        report = verify_closed_forms(n, force=force)
         if show_polys:
             print(f"P_{n} = {report.labeled}")
             print(f"O_{n} = {report.rooted}")
@@ -172,10 +168,7 @@ def _cmd_verify(args) -> int:
         failures += _verify_counts(ns_labeled, ns_increasing, args.force)
     if args.target in ("thm1", "all"):
         ns = range(MAX_LABELED_EDGES + 1) if args.n is None else [args.n]
-        # one pool for every n and both sums, none with --jobs 1
-        with _worker_pool(args.jobs):
-            failures += _verify_thm1(ns, args.jobs, args.force,
-                                     show_polys=args.n is not None)
+        failures += _verify_thm1(ns, args.force, show_polys=args.n is not None)
     if args.target in ("thm2", "all"):
         failures += _verify_thm2(args.order, args.force)
     elapsed = time.perf_counter() - started
@@ -211,8 +204,6 @@ def _cmd_enum(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    if args.n < 0:
-        raise ValueError("n must be >= 0")
     if args.count < 1:
         raise ValueError("count must be >= 1")
     maker = sample_labeled_trees if args.family == "P" else sample_increasing_trees
@@ -256,8 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="single n instead of the default sweep")
     p.add_argument("--order", type=int, default=10,
                    help="series truncation order for thm2")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for the enumeration")
     p.add_argument("--force", action="store_true",
                    help="ignore the feasibility bounds")
     p.set_defaults(handler=_cmd_verify)

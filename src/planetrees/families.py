@@ -318,25 +318,29 @@ def _random_increasing_tree(n: int, rng: random.Random) -> PlaneTree:
 
 def sample_labeled_tree(n: int, seed: int) -> PlaneTree:
     """One uniform labeled plane tree with n edges; deterministic in seed."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return _random_labeled_tree(n, random.Random(seed))
+    return next(sample_labeled_trees(n, seed, 1))
 
 
 def sample_increasing_tree(n: int, seed: int) -> PlaneTree:
     """One uniform increasing plane tree with n edges; deterministic in seed."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return _random_increasing_tree(n, random.Random(seed))
+    return next(sample_increasing_trees(n, seed, 1))
 
 
 def sample_labeled_trees(n: int, seed: int, count: int) -> Iterator[PlaneTree]:
+    """``count`` uniform labeled plane trees with n edges from one seed; the
+    first is ``sample_labeled_tree(n, seed)``."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
     rng = random.Random(seed)
     for _ in range(count):
         yield _random_labeled_tree(n, rng)
 
 
 def sample_increasing_trees(n: int, seed: int, count: int) -> Iterator[PlaneTree]:
+    """``count`` uniform increasing plane trees with n edges from one seed;
+    the first is ``sample_increasing_tree(n, seed)``."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
     rng = random.Random(seed)
     for _ in range(count):
         yield _random_increasing_tree(n, rng)

@@ -59,12 +59,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import permutations, repeat
-from typing import Iterator
+from itertools import permutations
 
 from .families import (
     MAX_INCREASING_EDGES,
@@ -275,54 +273,24 @@ def _shape_histogram(shape, root_first: bool):
     return len(kids[0]), hist
 
 
-_POOL: list = []  # the pool the histogram sums share while one is open
-
-
-@contextmanager
-def _worker_pool(jobs: int):
-    """Share one pool of ``jobs`` processes among the histogram sums made in
-    the block; none with ``jobs`` <= 1 or inside another such block."""
-    if jobs <= 1 or _POOL:
-        yield
-        return
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        _POOL.append(pool)
-        try:
-            yield
-        finally:
-            _POOL.pop()
-
-
-def _histograms(n: int, root_first: bool, jobs: int) -> Iterator:
-    shapes = plane_shapes(n)
-    if jobs > 1:
-        with _worker_pool(jobs):
-            yield from _POOL[0].map(_shape_histogram, shapes,
-                                    repeat(root_first))
-    else:
-        for shape in shapes:
-            yield _shape_histogram(shape, root_first)
-
-
-def edge_status_polynomial(n: int, *, force: bool = False,
-                           jobs: int = 1) -> Polynomial:
+def edge_status_polynomial(n: int, *, force: bool = False) -> Polynomial:
     """Sum of x^impr y^prop over all labeled plane trees with n edges."""
     _require_bound(n, MAX_LABELED_EDGES, force, "labeled trees")
     totals = [0] * (n + 1)
-    for _, hist in _histograms(n, False, jobs):
+    for shape in plane_shapes(n):
+        _, hist = _shape_histogram(shape, False)
         for a, cnt in enumerate(hist):
             totals[a] += cnt
     return Polynomial({(a, n - a, 0): c for a, c in enumerate(totals)})
 
 
-def rooted_edge_status_polynomial(n: int, *, force: bool = False,
-                                  jobs: int = 1) -> Polynomial:
+def rooted_edge_status_polynomial(n: int, *,
+                                  force: bool = False) -> Polynomial:
     """Sum of x^impr y^(prop-d) t^d over root-1 trees, d the root degree."""
     _require_bound(n, MAX_LABELED_EDGES, force, "root-1 trees")
     terms: dict = defaultdict(int)
-    for deg, hist in _histograms(n, True, jobs):
+    for shape in plane_shapes(n):
+        deg, hist = _shape_histogram(shape, True)
         for a, cnt in enumerate(hist):
             if cnt:
                 terms[(a, n - a - deg, deg)] += cnt
@@ -340,17 +308,14 @@ def root_degree_polynomial(n: int, *, force: bool = False) -> Polynomial:
 _ENUMERATED: dict[int, tuple[Polynomial, Polynomial, Polynomial]] = {}
 
 
-def _enumerated_table(n: int, *, force: bool = False, jobs: int = 1):
-    """(P_n, O_n, S_n) by enumeration, computed once per process.
-
-    The table is a pure function of n: ``jobs`` only changes how the first
-    call for an n computes it.  The bound is checked on every call.
-    """
+def _enumerated_table(n: int, *, force: bool = False):
+    """(P_n, O_n, S_n) by enumeration, computed once per process; the bound
+    is checked on every call."""
     _require_bound(n, MAX_LABELED_EDGES, force, "labeled trees")
     table = _ENUMERATED.get(n)
     if table is None:
-        table = (edge_status_polynomial(n, force=force, jobs=jobs),
-                 rooted_edge_status_polynomial(n, force=force, jobs=jobs),
+        table = (edge_status_polynomial(n, force=force),
+                 rooted_edge_status_polynomial(n, force=force),
                  root_degree_polynomial(n, force=force))
         _ENUMERATED[n] = table
     return table
@@ -405,15 +370,14 @@ class ClosedFormReport:
         return self.labeled_ok and self.rooted_ok
 
 
-def verify_closed_forms(n: int, *, force: bool = False,
-                        jobs: int = 1) -> ClosedFormReport:
+def verify_closed_forms(n: int, *, force: bool = False) -> ClosedFormReport:
     """Check both enumerated statistics against their closed forms.
 
     The rooted comparison takes its root-degree coefficients from the
     enumerated increasing-tree polynomial, keeping the two routes
     independent.
     """
-    labeled, rooted, degrees = _enumerated_table(n, force=force, jobs=jobs)
+    labeled, rooted, degrees = _enumerated_table(n, force=force)
     expected_rooted = _rooted_from_degrees(
         n, {r: c for (_, _, r), c in degrees.coeffs.items()})
     return ClosedFormReport(

@@ -255,38 +255,29 @@ def test_verify_force_overrides_order_bound(capsys):
     assert out.count("PASS") == 3
 
 
-def test_verify_jobs_agree(capsys):
-    code, serial, _ = run(capsys, "verify", "thm1", "--n", "4")
-    assert code == 0
-    code, parallel, _ = run(capsys, "verify", "thm1", "--n", "4", "--jobs", "2")
-    assert code == 0
-    assert serial == parallel
-
-
-def test_verify_starts_one_pool_per_run(capsys, monkeypatch):
-    # the default thm1 sweep makes 14 histogram sums; they share one pool
+def test_verify_runs_in_one_process(capsys, monkeypatch):
+    # the exhaustive sums run serially in this process: no worker pool is
+    # started, and there is no option to ask for one
     import concurrent.futures
     from planetrees import polynomials
-    started = []
-    real = concurrent.futures.ProcessPoolExecutor
 
-    def counting(*args, **kwargs):
-        started.append(kwargs.get("max_workers"))
-        return real(*args, **kwargs)
+    def refuse(*args, **kwargs):
+        raise RuntimeError("verify started a process pool")
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counting)
-    for jobs, pools in (("2", [2]), ("1", [])):
-        # no memoized table, so that every sum is computed in this run
-        monkeypatch.setattr(polynomials, "_ENUMERATED", {})
-        started.clear()
-        code, _, _ = run(capsys, "verify", "thm1", "--jobs", jobs)
-        assert code == 0
-        assert started == pools
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    # no memoized table, so that both sums are computed in this run
+    monkeypatch.setattr(polynomials, "_ENUMERATED", {})
+    code, out, _ = run(capsys, "verify", "thm1", "--n", "4")
+    assert code == 0 and out.endswith("thm1 n=4 PASS\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "thm1", "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
 
 
 def test_verify_failure_exits_one(capsys, monkeypatch):
     # simulate a mismatch to pin the exit code contract
-    def broken(n, *, force=False, jobs=1):
+    def broken(n, *, force=False):
         return ClosedFormReport(n=n, labeled=Polynomial(), rooted=Polynomial(),
                                 labeled_ok=False, rooted_ok=True)
     monkeypatch.setattr("planetrees.cli.verify_closed_forms", broken)
@@ -352,6 +343,13 @@ def test_sample_deterministic(capsys):
 def test_sample_rejects_bad_count(capsys):
     code, _, err = run(capsys, "sample", "P", "--n", "2", "--count", "0")
     assert code == 2 and "error:" in err
+
+
+@pytest.mark.parametrize("family", ["P", "I"])
+def test_sample_rejects_negative_n(capsys, family):
+    code, out, err = run(capsys, "sample", family, "--n", "-1")
+    assert code == 2 and out == ""
+    assert err == "error: n must be >= 0\n"
 
 
 # ---- the CLI as a separate process ----

@@ -164,6 +164,19 @@ def test_sampled_increasing_tree_is_valid(n, seed):
     assert has_canonical_labels(tree)
 
 
+@pytest.mark.parametrize("one, many", [
+    (sample_labeled_tree, sample_labeled_trees),
+    (sample_increasing_tree, sample_increasing_trees),
+])
+def test_single_sample_is_the_first_draw(one, many):
+    for n in range(12):
+        for seed in range(5):
+            assert one(n, seed) == next(many(n, seed, 3))
+    for sampler in (lambda: one(-1, 0), lambda: next(many(-1, 0, 1))):
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            sampler()
+
+
 def test_labeled_sampler_is_uniform():
     # 12 trees in the n=2 family; 120000 draws, expect 10000 each within 10%
     draws = 120000

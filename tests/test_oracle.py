@@ -15,7 +15,8 @@ The enumeration kernels must visit what the old loops built, in the same
 order, and the incremental histogram must count what recomputing every
 labeling in full counted.  The integer check of the generating-function
 identities must flag exactly what multiplying out the truncated series
-flagged, on the true tables and on tables with one coefficient bumped.  The
+flagged, on the true tables and on tables with one coefficient bumped;
+sympy's own series expansion, when sympy is installed, must agree.  The
 single Stirling stack walk must accept, reject and decode exactly what the
 multiplicity check, the second blocks walk and the bracket frames did.
 """
@@ -334,6 +335,37 @@ def test_egf_check_fails_on_a_scaled_table():
             assert _egf_holds([row[which] for row in tables], c, s, u)
             assert not _egf_holds([row[which] for row in doubled], c, s, u)
         assert oracle.series_egf_flags(doubled) == (False, False, False)
+
+
+def _sympy_egf_holds(sympy, coeffs, c, s, u):
+    """A(q) ((c-s) + s sqrt(1-2uq)) = c through q^order, order =
+    len(coeffs) - 1, with the square root expanded by sympy's own series."""
+    x, y, t, q = sympy.symbols("x y t q")
+
+    def sym(value):
+        return (value.eval(x, y, t) if isinstance(value, Polynomial)
+                else sympy.Integer(value))
+
+    order = len(coeffs) - 1
+    root = sympy.series(sympy.sqrt(1 - 2 * sym(u) * q), q, 0, order + 1)
+    factor = (sym(c) - sym(s)) + sym(s) * root.removeO()
+    egf = sum(sym(poly) * q ** n / sympy.factorial(n)
+              for n, poly in enumerate(coeffs))
+    product = sympy.Poly(egf, q, x, y, t) * sympy.Poly(factor, q, x, y, t)
+    low = {m: v for m, v in product.terms() if m[0] <= order}
+    return low == dict(sympy.Poly(sym(c), q, x, y, t).terms())
+
+
+def test_egf_identities_hold_under_sympy_series():
+    # a fourth route for thm2: sympy multiplies out the truncated series
+    sympy = pytest.importorskip("sympy")
+    tables = [_coefficient_table(n, "auto")
+              for n in range(MAX_SERIES_ORDER + 1)]
+    for which, (c, s, u) in enumerate(EGF_SHAPES):
+        assert _sympy_egf_holds(sympy, [row[which] for row in tables], c, s, u)
+    labeled = [row[0] for row in tables[:7]]
+    labeled[4] = labeled[4] + Polynomial({(2, 2, 0): 1})
+    assert not _sympy_egf_holds(sympy, labeled, *EGF_SHAPES[0])
 
 
 # ---- the Stirling walk ----

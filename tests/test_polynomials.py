@@ -152,12 +152,6 @@ def test_homogeneity():
                    for a, b, c in rooted_edge_status_polynomial(n).coeffs)
 
 
-def test_jobs_equals_serial():
-    assert edge_status_polynomial(4, jobs=2) == edge_status_polynomial(4)
-    assert (rooted_edge_status_polynomial(4, jobs=2)
-            == rooted_edge_status_polynomial(4))
-
-
 def test_bounds_are_enforced():
     with pytest.raises(ValueError):
         edge_status_polynomial(7)

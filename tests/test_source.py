@@ -3,9 +3,11 @@
 import ast
 import doctest
 import re
+import shlex
 from pathlib import Path
 
 import planetrees
+from planetrees.cli import main
 
 SOURCES = sorted(Path(planetrees.__file__).parent.glob("*.py"))
 ROOT = Path(__file__).resolve().parents[1]
@@ -64,3 +66,17 @@ def test_readme_library_examples_run():
     results = doctest.testfile(str(ROOT / "README.md"), module_relative=False)
     assert results.failed == 0
     assert results.attempted == 9
+
+
+def test_readme_cli_examples_run(capsys):
+    # every line of the README's CLI block, comments stripped, exits 0
+    fences = re.findall(r"^## CLI\n.*?```sh\n(.*?)```", (ROOT / "README.md")
+                        .read_text(), re.M | re.S)
+    assert len(fences) == 1
+    lines = fences[0].splitlines()
+    assert len(lines) == 14
+    for line in lines:
+        argv = shlex.split(line, comments=True)
+        assert argv[0] == "planetrees"
+        assert main(argv[1:]) == 0, line
+        assert capsys.readouterr().out
