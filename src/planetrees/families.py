@@ -35,7 +35,9 @@ subtree with s edges spans 2s+1 slots.  The kernel walks the slots in that
 order by backtracking (insert, descend, remove).  The sampler draws a slot
 number with ``rng.randrange(2m-1)`` and descends to it by subtree sizes
 kept up to date on the way down, scanning the children of each vertex it
-passes, which keeps a sample slightly above linear time.
+passes.  The root degree grows like sqrt(n), so a sample is superlinear:
+the traced slope is about 1.35, and n = 10^5 takes 7.7 s (CPython 3.11, one
+core of a 2-vCPU VM).
 
 The bounds below are where exhaustive work stops being a desk-scale job;
 the polynomial layer and the command line refuse larger n unless forced,

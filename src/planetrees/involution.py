@@ -19,19 +19,16 @@ improper, are tagged t instead.  :func:`from_increasing` inverts this by
 flipping the x-tagged edges of a tagged increasing tree.  The flips involved
 commute, so each map really is a bijection and the two are mutually inverse.
 
-All three work on one mutable copy of the tree in first-child/next-sibling
-form (Knuth, TAOCP Vol. 1, 2.3.2), built from the input's ``parents`` in one
-loop: they apply every flip in place and emit the output's preorder arrays
-by one walk, so a bijection costs O(n) rather than the O(n^2) of rebuilding
-every ancestor per flip.  In this form a flip is a constant-size rewiring of
-sibling and child links once i = parent(j) is known.  Parent pointers are
-kept valid only at the two ends of each sibling list, so finding i means
-walking from j to an end of its list.  The walk goes left and right at the
-same time and stops at the nearer end: flipping in first-descent order
-makes A grow by one per flip on a decreasing path, and makes C long on a
-star whose children increase, so a walk to either fixed end would make one
-of those shapes quadratic.  The walk that emits the result climbs only from
-a last child, whose parent pointer is valid.
+A flip at e = (i, j) rewires only e, the edge above i and the edges from i
+to j's left siblings, and in the input's first-descent order all of these
+come at or before e.  Every flip here goes in that order, so when e's turn
+comes, the vertex at input position j still hangs off its input parent
+``tree.parents[j]`` by e.  All three maps run ``_flip_in_order`` on one
+mutable copy of the tree: each sibling list is circular and doubly linked
+through a header node (Knuth, TAOCP Vol. 1, 2.2.5 and 2.3.2), so a flip is
+a fixed splice with i read off the input, and one preorder walk, climbing
+at each header, emits the output.  A bijection costs O(n), not the O(n^2)
+of rebuilding every ancestor per flip.
 """
 
 from __future__ import annotations
@@ -48,141 +45,78 @@ from .tree import (
 )
 
 
-class _SiblingArrays:
-    """A mutable copy of a tree for flipping in place; -1 means none.
-
-    Each vertex keeps its first child and its previous and next siblings.
-    ``parent[v]`` is valid while v is the first or the last child of its
-    parent, and is -1 for the root.  ``edge[v]`` is the id of the edge into
-    v (-1 for the root) and ``child`` maps each edge id back to v.
-    """
-
-    __slots__ = ("label", "first", "prev", "next", "parent", "edge", "child",
-                 "root")
-
-    def __init__(self, tree: PlaneTree):
-        count = len(tree.labels)
-        first, last = [-1] * count, [-1] * count
-        prev, next_ = [-1] * count, [-1] * count
-        parents = tree.parents
-        # preorder reaches siblings left to right: append to each list
-        for v in range(1, count):
-            p = parents[v]
-            before = last[p]
-            prev[v] = before
-            if before < 0:
-                first[p] = v
-            else:
-                next_[before] = v
-            last[p] = v
-        self.label, self.edge = tree.labels, list(tree.edges)
-        self.child = dict(zip(tree.edges[1:], range(1, count)))
-        self.first, self.prev, self.next = first, prev, next_
-        self.parent = list(parents)
-        self.root = 0
-
-    def flip(self, eid: EdgeRef) -> None:
-        """Apply the involution at one edge, in place."""
-        j = self.child.get(eid)
-        if j is None:
-            raise ValueError(f"no edge with id {eid}")
-        first, prev, next_, parent = self.first, self.prev, self.next, self.parent
-        # i = parent(j), read off whichever end of j's sibling list is nearer
-        a = b = j
-        while prev[a] >= 0 and next_[b] >= 0:
-            a = prev[a]
-            b = next_[b]
-        i = parent[a] if prev[a] < 0 else parent[b]
-
-        a_last, c_first = prev[j], next_[j]
-        b_first = first[j]
+def _flip_in_order(tree: PlaneTree, positions: list[int],
+                   tags: dict[EdgeRef, str] | None) -> PlaneTree:
+    """Flip the edges into the given input positions, ascending, in place on
+    one linked copy of the tree, and return the result tagged ``tags``."""
+    count = len(tree.labels)
+    parents = tree.parents
+    # nodes 0..count-1 are the vertices; node v + count heads v's circular
+    # list of children and node 2 * count heads the root's list
+    next_ = list(range(2 * count + 1))
+    next_[0], next_[-1] = 2 * count, 0
+    prev = next_[:]
+    # preorder reaches siblings left to right: append to each list
+    for v in range(1, count):
+        h = parents[v] + count
+        last = prev[h]
+        next_[last] = prev[h] = v
+        prev[v], next_[v] = last, h
+    edge = list(tree.edges)
+    for j in positions:
+        # every earlier flip rewired only edges before j's, so j still hangs
+        # off its input parent, and A, j, C are i's children
+        i = parents[j]
         up_prev, up_next = prev[i], next_[i]
-
-        # j takes i's place among i's siblings, or as the root
+        a_last, c_first = prev[j], next_[j]
+        # j takes i's place, and i takes j's: i's list is now A, i, C
+        next_[up_prev] = prev[up_next] = j
         prev[j], next_[j] = up_prev, up_next
-        if up_prev < 0 or up_next < 0:
-            up = parent[i]  # valid: i is at an end of its list, or the root
-            parent[j] = up
-            if up < 0:
-                self.root = j
-            elif up_prev < 0:
-                first[up] = j
-        if up_prev >= 0:
-            next_[up_prev] = j
-        if up_next >= 0:
-            prev[up_next] = j
-
-        # j's children become A ++ [i] ++ B
-        parent[i] = j
-        if a_last >= 0:
-            a_first = first[i]
-            first[j] = a_first
-            parent[a_first] = j
-            next_[a_last] = i
-        else:
-            first[j] = i
+        next_[a_last] = i
         prev[i] = a_last
-        next_[i] = b_first
-        if b_first >= 0:
-            prev[b_first] = i
-
-        # i's children become C
-        first[i] = c_first
-        if c_first >= 0:
-            prev[c_first] = -1
-            parent[c_first] = i
-
-        # e now enters i, and i's old incoming edge now enters j
-        edge = self.edge
-        above = edge[i]
-        edge[i], edge[j] = eid, above
-        self.child[eid] = i
-        if above >= 0:
-            self.child[above] = j
-
-    def tree(self, tags: dict[EdgeRef, str] | None) -> PlaneTree:
-        """The current tree, by one preorder walk over first/next."""
-        first, next_, parent = self.first, self.next, self.parent
-        order: list[int] = []
-        parents: list[int] = []
-        above: list[int] = []  # output positions of the current ancestors
-        v = self.root
-        while True:
-            parents.append(above[-1] if above else -1)
-            order.append(v)
-            if first[v] >= 0:
-                above.append(len(order) - 1)
-                v = first[v]
-                continue
-            # climb while v is a last child, whose parent pointer is valid
-            while next_[v] < 0 and above:
-                above.pop()
-                v = parent[v]
-            if next_[v] < 0:
-                break
-            v = next_[v]
-        return PlaneTree._trusted(tuple(map(self.label.__getitem__, order)),
-                                  tuple(parents),
-                                  tuple(map(self.edge.__getitem__, order)),
-                                  tags)
+        # rotate the list heads: j's children A, i, B and i's children C
+        hi, hj = i + count, j + count
+        a_first, b_first = next_[hi], next_[hj]
+        next_[i], next_[hi], next_[hj] = b_first, c_first, a_first
+        prev[b_first], prev[c_first], prev[a_first] = i, hi, hj
+        edge[i], edge[j] = edge[j], edge[i]
+    # the output in preorder: descend to first children, climb at headers
+    order: list[int] = []
+    out_parents: list[int] = []
+    above: list[int] = []  # output positions of the current ancestors
+    v = next_[2 * count]
+    while True:
+        out_parents.append(above[-1] if above else -1)
+        order.append(v)
+        if next_[v + count] != v + count:
+            above.append(len(order) - 1)
+            v = next_[v + count]
+            continue
+        v = next_[v]
+        while v >= count and above:
+            above.pop()
+            v = next_[v - count]
+        if v >= count:
+            break
+    return PlaneTree._trusted(tuple(map(tree.labels.__getitem__, order)),
+                              tuple(out_parents),
+                              tuple(map(edge.__getitem__, order)), tags)
 
 
 def flip_edge(tree: PlaneTree, edge: EdgeRef) -> PlaneTree:
     """Apply the involution at one edge; a new tree, input untouched."""
-    arrays = _SiblingArrays(tree)
-    arrays.flip(edge)
-    return arrays.tree(tree.tags)
+    if edge not in tree.edges[1:]:
+        raise ValueError(f"no edge with id {edge}")
+    return _flip_in_order(tree, [tree.edges.index(edge, 1)], tree.tags)
 
 
 def _flip_x_edges(tree: PlaneTree, tags: dict[EdgeRef, str],
                   out_tags: dict[EdgeRef, str] | None) -> PlaneTree:
-    # both directions flip the x-tagged edges, in first-descent order, which
-    # is the order of the child ends in preorder before any flip
-    arrays = _SiblingArrays(tree)
-    for eid in arrays.edge[1:]:
-        if tags[eid] == IMPROPER_TAG:
-            arrays.flip(eid)
-    return arrays.tree(out_tags)
+    # both directions flip the x-tagged edges in first-descent order, which
+    # is the input's preorder of their child ends
+    edges = tree.edges
+    return _flip_in_order(tree, [j for j in range(1, len(edges))
+                                 if tags[edges[j]] == IMPROPER_TAG], out_tags)
 
 
 def to_increasing(tree: PlaneTree, rooted: bool = False) -> PlaneTree:
@@ -222,10 +156,10 @@ def from_increasing(tree: PlaneTree) -> PlaneTree:
         raise ValueError("input tree is not increasing")
     if not has_canonical_labels(tree):
         raise ValueError("labels must be exactly 1..n+1")
-    tags = tree.tags or {}
-    # the tags must be keyed by exactly the tree's edge ids
-    if tags.keys() != set(tree.edges[1:]):
+    # a tagged tree's tags are keyed by exactly its edge ids
+    if not tree.is_tagged and tree.edge_count:
         raise ValueError("every edge must carry a tag")
+    tags = tree.tags or {}
     t_edges = {eid for eid, tag in tags.items() if tag == ROOT_TAG}
     if t_edges and t_edges != {eid for eid, p in zip(tree.edges, tree.parents)
                                if p == 0}:

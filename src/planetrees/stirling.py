@@ -32,20 +32,22 @@ from .tree import PlaneTree, has_canonical_labels, is_increasing
 
 
 def parse_permutation(text: str) -> tuple[int, ...]:
-    """Whitespace-separated positive integers."""
+    """Whitespace-separated positive integers in ASCII decimal digits."""
     parts = text.split()
     if not parts:
         raise ValueError("empty permutation")
-    values = []
-    for part in parts:
-        try:
-            v = int(part)
-        except ValueError:
-            raise ValueError(f"not an integer: {part!r}") from None
-        if v < 1:
-            raise ValueError(f"values must be positive, got {v}")
-        values.append(v)
-    return tuple(values)
+    joined = "".join(parts)
+    ascii_digits = joined.isascii() and joined.isdigit()
+    values = tuple(map(int, parts)) if ascii_digits else ()
+    if not values or min(values) < 1:
+        # a fault: name the first one; "0" and "-1" are integers, not positive
+        for part in parts:
+            digits = part.removeprefix("-")
+            if not (digits.isascii() and digits.isdigit()):
+                raise ValueError(f"not an integer: {part!r}")
+            if int(part) < 1:
+                raise ValueError(f"values must be positive, got {int(part)}")
+    return values
 
 
 def format_permutation(seq: Sequence[int]) -> str:

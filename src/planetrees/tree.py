@@ -82,9 +82,9 @@ class PlaneTree:
 
     ``PlaneTree(handle, tags)`` builds a tree from the ``root`` handle of
     another tree, the ``(labels, parents, edges)`` triple, which it checks.
-    ``tags`` maps every edge id to one of ``x``/``y``/``t`` on a tagged
-    tree and is ``None`` on an untagged one.  Operations on trees never
-    mutate their input; they build new trees.
+    ``tags``, also checked, maps every edge id to one of ``x``/``y``/``t``
+    on a tagged tree and is ``None`` on an untagged one.  Operations on
+    trees never mutate their input; they build new trees.
     """
 
     __slots__ = ("labels", "parents", "edges", "tags")
@@ -95,6 +95,10 @@ class PlaneTree:
         self.labels, self.parents, self.edges = labels, parents, edges
         # an empty tag map carries no information: normalize it away
         self.tags = dict(tags) if tags else None
+        if self.tags and self.tags.keys() != set(edges[1:]):
+            raise ValueError("every edge must carry a tag")
+        if self.tags and not all(map(TAGS.__contains__, self.tags.values())):
+            raise ValueError("every tag must be x, y, or t")
 
     @classmethod
     def _trusted(cls, labels, parents, edges, tags=None) -> PlaneTree:

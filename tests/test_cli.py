@@ -170,6 +170,20 @@ def test_stirling_rejects_invalid(capsys):
     assert code == 2 and "error:" in err
 
 
+@pytest.mark.parametrize("direction", ["from", "blocks"])
+@pytest.mark.parametrize("operand, bad", [
+    ("2 2 +1 1", "+1"),
+    ("1_0 1_0", "1_0"),
+    ("\u0662 \u0662 1 1", "\u0662"),
+])
+def test_stirling_rejects_numerals_the_tree_parser_rejects(capsys, direction,
+                                                          operand, bad):
+    code, out, err = run(capsys, "stirling", direction, operand)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: not an integer: {bad!r}\n"
+
+
 # ---- stdin ----
 
 def test_stdin_operand(capsys, monkeypatch):

@@ -4,7 +4,9 @@ against the references in ``oracle.py``.
 The parser must accept what the oracle's character-by-character parser
 accepts and reject the rest with the same message and position.  The flip
 and the two bijections must agree with both the path-copying references and
-the ``Node`` array core the library had before its flat trees.
+the ``Node`` array core the library had before its flat trees; the in-place
+core, flipping any subset of edges in first-descent order, must agree with
+one path-copying flip per edge.
 
 Every tree comparison is ``==`` on trees, which checks labels, child order,
 edge ids and tags, so the in-place flip, the two bijections, the increasing
@@ -66,7 +68,7 @@ from planetrees.families import (
     build_tree,
     plane_shapes,
 )
-from planetrees.involution import _SiblingArrays
+from planetrees.involution import _flip_in_order
 from planetrees.polynomials import _coefficient_table, _egf_holds
 from planetrees.polynomials import _shape_histogram
 
@@ -116,19 +118,33 @@ def test_random_trees_match_oracle(n, seed):
     assert flip_edge(out, eid) == oracle.flip_edge(out, eid)
 
 
+def _oracle_flips(tree, positions):
+    # one path-copying flip per edge, taken by its id in the input
+    for eid in [tree.edges[j] for j in positions]:
+        tree = oracle.flip_edge(tree, eid)
+    return tree
+
+
+def test_flips_in_first_descent_order_match_oracle_exhaustive():
+    # the in-place core flips any subset of edges, in first-descent order
+    for n in range(5):
+        for tree in labeled_trees(n):
+            for subset in product((False, True), repeat=n):
+                positions = [j for j, on in enumerate(subset, 1) if on]
+                assert (_flip_in_order(tree, positions, None)
+                        == _oracle_flips(tree, positions))
+
+
 @given(st.integers(1, 60), st.integers(0, 10**9))
-def test_flip_sequences_in_any_order_match_oracle(n, seed):
-    # the bijections flip in first-descent order only; the in-place core
-    # must also stay right under any order, repeats included
+def test_flips_in_first_descent_order_match_oracle(n, seed):
     rng = random.Random(seed)
-    tree = sample_labeled_tree(n, seed)
-    arrays = _SiblingArrays(tree)
-    expected = tree
-    for _ in range(3 * n):
-        eid = rng.randrange(n)
-        arrays.flip(eid)
-        expected = oracle.flip_edge(expected, eid)
-    assert arrays.tree(None) == expected
+    plain = sample_labeled_tree(n, seed)
+    tree = PlaneTree(plain.root, {eid: rng.choice("xyt")
+                                  for eid in plain.edges[1:]})
+    density = rng.random()
+    positions = [j for j in range(1, n + 1) if rng.random() < density]
+    assert (_flip_in_order(tree, positions, tree.tags)
+            == _oracle_flips(tree, positions))
 
 
 def _root_one(tree):

@@ -80,3 +80,15 @@ def test_readme_cli_examples_run(capsys):
         assert argv[0] == "planetrees"
         assert main(argv[1:]) == 0, line
         assert capsys.readouterr().out
+
+
+def test_readme_entry_points_are_exported():
+    # every function named in the README's "Key entry points" table is a
+    # package attribute listed in __all__
+    table = re.search(r"^Key entry points:\n\n((?:\|.*\n)+)",
+                      (ROOT / "README.md").read_text(), re.M)
+    assert table
+    names = re.findall(r"`(\w+)", table[1])
+    assert len(names) == 24
+    assert [name for name in names if not hasattr(planetrees, name)] == []
+    assert [name for name in names if name not in planetrees.__all__] == []

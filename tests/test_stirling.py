@@ -1,6 +1,7 @@
 """Stirling permutations: validity, blocks, enumeration, and the
 depth-first-walk bijection."""
 
+import re
 from collections import Counter
 from itertools import permutations
 
@@ -56,6 +57,21 @@ def test_text_round_trip():
 @pytest.mark.parametrize("bad", ["", "a b", "1 0", "-1 -1"])
 def test_parse_permutation_errors(bad):
     with pytest.raises(ValueError):
+        parse_permutation(bad)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("2 2 +1 1", "not an integer: '+1'"),
+    ("1_0 1_0", "not an integer: '1_0'"),
+    ("\u0662 \u0662 1 1", "not an integer: '\u0662'"),  # Arabic-Indic two
+    ("1 1 \u00b2", "not an integer: '\u00b2'"),
+    ("1 1 x 0", "not an integer: 'x'"),
+    ("1 0 x", "values must be positive, got 0"),
+    ("-1 -1", "values must be positive, got -1"),
+])
+def test_parse_permutation_takes_ascii_decimal_digits_only(bad, message):
+    # the numerals the tree parser accepts as labels, and no others
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         parse_permutation(bad)
 
 

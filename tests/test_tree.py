@@ -265,3 +265,22 @@ def test_empty_tags_normalize_to_none():
     tree = PlaneTree(parse_tree("1").root, {})
     assert tree.tags is None
     assert not tree.is_tagged
+
+
+@pytest.mark.parametrize("tags, message", [
+    ({0: "x"}, "every edge must carry a tag"),                  # a key missing
+    ({0: "x", 1: "y", 2: "y"}, "every edge must carry a tag"),  # a stray key
+    ({0: "q", 1: "y"}, "every tag must be x, y, or t"),         # a bad value
+])
+def test_tags_must_cover_the_edges_with_known_tags(tags, message):
+    tree = parse_tree("1(2,3)")
+    with pytest.raises(ValueError, match=message):
+        PlaneTree(tree.root, tags)
+
+
+@given(st.integers(1, 40), st.integers(0, 10**9),
+       st.lists(st.sampled_from("xyt"), min_size=40, max_size=40))
+def test_checked_tags_render_to_text_that_parses_back(n, seed, choices):
+    tree = sample_labeled_tree(n, seed)
+    tagged = PlaneTree(tree.root, dict(zip(tree.edges[1:], choices)))
+    assert parse_tree(render_tree(tagged)) == tagged
