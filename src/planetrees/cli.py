@@ -31,7 +31,6 @@ from .families import (
     sample_labeled_trees,
 )
 from .involution import flip_edge, from_increasing, to_increasing
-from .polynomials import verify_closed_forms, verify_egf_identities
 from .stirling import (
     blocks,
     format_permutation,
@@ -65,10 +64,10 @@ def _parse_edge_arg(text: str) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError(f"edge must be 'parent,child', got {text!r}")
-    try:
-        return int(parts[0]), int(parts[1])
-    except ValueError:
-        raise ValueError(f"edge labels must be integers, got {text!r}") from None
+    # the tree parser's rule for a label: ASCII decimal digits, nothing else
+    if not all(part.isascii() and part.isdigit() for part in parts):
+        raise ValueError(f"edge labels must be decimal integers, got {text!r}")
+    return int(parts[0]), int(parts[1])
 
 
 def _cmd_classify(args) -> int:
@@ -116,6 +115,9 @@ def _cmd_stirling(args) -> int:
 
 
 def _verify_thm1(ns, force: bool, show_polys: bool) -> int:
+    # read at call time: the pipe commands never load polynomials
+    from .polynomials import verify_closed_forms
+
     failures = 0
     for n in ns:
         report = verify_closed_forms(n, force=force)
@@ -128,6 +130,8 @@ def _verify_thm1(ns, force: bool, show_polys: bool) -> int:
 
 
 def _verify_thm2(order: int, force: bool) -> int:
+    from .polynomials import verify_egf_identities
+
     report = verify_egf_identities(order, force=force)
     for name, ok in (("P", report.labeled_ok), ("O", report.rooted_ok),
                      ("S", report.degree_ok)):

@@ -48,9 +48,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from itertools import islice, permutations
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .tree import PlaneTree
 
@@ -70,8 +69,7 @@ def odd_double_factorial(n: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class FamilyCount:
+class FamilyCount(NamedTuple):
     n: int
     labeled: int
     root_one: int

@@ -442,7 +442,7 @@ def verify_egf_identities(order: int, *, source: str = "auto",
     if order > MAX_SERIES_ORDER and not force:
         raise ValueError(
             f"order={order} exceeds the default bound {MAX_SERIES_ORDER}; "
-            f"force to run anyway")
+            f"force to run anyway (--force)")
     if source == "enumerated" and order > MAX_LABELED_EDGES:
         raise ValueError(
             f"enumerated coefficients stop at order {MAX_LABELED_EDGES}")

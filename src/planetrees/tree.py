@@ -34,9 +34,9 @@ subtree minimum.  Every query here goes through that loop.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from operator import le
+from typing import NamedTuple
 
 EdgeRef = int
 
@@ -274,8 +274,7 @@ def render_tree(tree: PlaneTree) -> str:
 
 # ---- queries ----
 
-@dataclass(frozen=True)
-class TreeStats:
+class TreeStats(NamedTuple):
     improper: int
     proper: int
     root_label: int

@@ -109,6 +109,14 @@ def test_phi_rejects_non_edge(capsys):
     assert code == 2 and "error:" in err
 
 
+@pytest.mark.parametrize("edge", ["+5,1", " 5, 1", "5,\u0663"])
+def test_phi_edge_labels_are_ascii_decimal(capsys, edge):
+    # the tree parser's rule for a label; int() would accept all three
+    code, out, err = run(capsys, "phi", "5(1(7),3)", edge)
+    assert code == 2 and out == ""
+    assert err == f"error: edge labels must be decimal integers, got {edge!r}\n"
+
+
 def test_bij_forward_golden(capsys):
     code, out, _ = run(capsys, "bij", "forward", FIG_LABELED)
     assert code == 0
@@ -263,6 +271,21 @@ def test_verify_bound_without_force(capsys):
     assert code == 2 and "error:" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "thm2", "--order", "11"],
+    ["verify", "thm1", "--n", "7"],
+    ["verify", "counts", "--n", "7"],
+    ["enum", "P", "--n", "7"],
+    ["enum", "I", "--n", "8"],
+    ["enum", "stirling", "--n", "8"],
+])
+def test_bound_refusals_name_the_flag(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert re.fullmatch(r"error: \S+ exceeds the \w+ bound \d+.*; "
+                        r"force to run anyway \(--force\)\n", err)
+
+
 def test_verify_force_overrides_order_bound(capsys):
     code, out, _ = run(capsys, "verify", "thm2", "--order", "11", "--force")
     assert code == 0
@@ -294,7 +317,7 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
     def broken(n, *, force=False):
         return ClosedFormReport(n=n, labeled=Polynomial(), rooted=Polynomial(),
                                 labeled_ok=False, rooted_ok=True)
-    monkeypatch.setattr("planetrees.cli.verify_closed_forms", broken)
+    monkeypatch.setattr("planetrees.polynomials.verify_closed_forms", broken)
     code, out, _ = run(capsys, "verify", "thm1", "--n", "1")
     assert code == 1
     assert "thm1 n=1 FAIL" in out
