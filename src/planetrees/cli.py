@@ -139,11 +139,16 @@ def _verify_thm2(order: int, force: bool) -> int:
     return 0 if report.passed else 1
 
 
-def _verify_counts(ns_labeled, ns_increasing, force: bool) -> int:
+def _verify_counts(ns_labeled, ns_increasing, force: bool,
+                   from_table: bool) -> int:
     failures = 0
     for n in ns_labeled:
         _require_bound(n, MAX_LABELED_EDGES, force, "labeled trees")
-        seen = sum(1 for _ in _labelings(n, False))
+        if from_table:  # verify all: the labelings thm1's one pass visits
+            from .polynomials import _enumerated_table
+            seen = _enumerated_table(n, force=force)[0].eval(1, 1, 1)
+        else:
+            seen = sum(1 for _ in _labelings(n, False))
         lhs = math.factorial(n + 1) * catalan(n)
         rhs = 2 ** n * odd_double_factorial(n)
         ok = seen == lhs == rhs
@@ -163,15 +168,13 @@ def _verify_counts(ns_labeled, ns_increasing, force: bool) -> int:
 def _cmd_verify(args) -> int:
     failures = 0
     started = time.perf_counter()
+    ns = range(MAX_LABELED_EDGES + 1) if args.n is None else [args.n]
     if args.target in ("counts", "all"):
-        if args.n is None:
-            ns_labeled = range(MAX_LABELED_EDGES + 1)
-            ns_increasing = range(MAX_INCREASING_EDGES + 1)
-        else:
-            ns_labeled = ns_increasing = [args.n]
-        failures += _verify_counts(ns_labeled, ns_increasing, args.force)
+        ns_increasing = (range(MAX_INCREASING_EDGES + 1) if args.n is None
+                         else ns)
+        failures += _verify_counts(ns, ns_increasing, args.force,
+                                   from_table=args.target == "all")
     if args.target in ("thm1", "all"):
-        ns = range(MAX_LABELED_EDGES + 1) if args.n is None else [args.n]
         failures += _verify_thm1(ns, args.force, show_polys=args.n is not None)
     if args.target in ("thm2", "all"):
         failures += _verify_thm2(args.order, args.force)

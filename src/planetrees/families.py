@@ -36,8 +36,8 @@ order by backtracking (insert, descend, remove).  The sampler draws a slot
 number with ``rng.randrange(2m-1)`` and descends to it by subtree sizes
 kept up to date on the way down, scanning the children of each vertex it
 passes.  The root degree grows like sqrt(n), so a sample is superlinear:
-the traced slope is about 1.35, and n = 10^5 takes 7.7 s (CPython 3.11, one
-core of a 2-vCPU VM).
+the traced benchmark slope is 1.46-1.55 and n = 3*10^4 takes 0.81 s, 10^5
+projected 4.3 s (ROADMAP baseline; CPython 3.11, 2-vCPU VM).
 
 The bounds below are where exhaustive work stops being a desk-scale job;
 the polynomial layer and the command line refuse larger n unless forced,

@@ -11,16 +11,16 @@ t^(root degree).  Summing over a whole family gives, per n:
 * ``rooted_edge_status_polynomial``  over the root-1 trees,
 * ``root_degree_polynomial``   over the increasing trees.
 
-Enumeration.  These sums visit every object and build no tree.  The two
-edge-status sums run a per-shape histogram over all labelings: one
-right-to-left scan over a vertex's children, starting from its own label,
-marks a child edge improper when the child's subtree minimum is below
-every label met so far, and ends at the vertex's subtree minimum.
-Lexicographic labelings change only a suffix of the preorder positions, so
-each labeling rescans only the vertices whose subtree reaches the first
-changed position.  The root-degree sum reads the root's child list at
-every leaf of the increasing-tree backtracking walk.  The three sums for
-one n are computed once per process and shared by both verifications.
+Enumeration.  These sums visit every object and build no tree.  The
+edge-status sums share one pass per shape over its labelings in
+lexicographic order.  A right-to-left scan over a vertex's children, from
+its own label, marks a child edge improper when the child's subtree
+minimum is below every label met so far, and ends at the vertex's subtree
+minimum; a labeling rescans only the vertices whose subtree reaches its
+first changed position.  The root-1 labelings come first, (count-1)! of
+them, so the root-1 histogram is a snapshot taken there; P_n at x = y = 1
+counts the labelings visited.  The root-degree sum reads the root's child
+list at each leaf of the increasing-tree walk; each n runs once per process.
 
 Closed forms.  The first sum collapses to (2n-1)!! (x+y)^n and the second
 to sum_r S[n,r] t^r (x+y)^(n-r), where S[n,r] counts increasing trees with
@@ -223,19 +223,16 @@ def _first_changes(count: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _shape_histogram(shape, root_first: bool):
-    """Per-shape histogram of the improper-edge count over all labelings.
+def _shape_histograms(shape):
+    """(root degree, labeled, root-first): entry a of each histogram counts
+    the labelings, all or those giving the root label 1, with a improper edges.
 
-    Returns (root degree, list h) where h[a] counts labelings with exactly
-    a improper edges.  With ``root_first`` the root keeps label 1 and only
-    the remaining labels permute.
-
-    One right-to-left scan over a vertex's children, starting from its own
-    label, counts its improper child edges and ends at its subtree minimum.
     Labelings come in lexicographic order, so each changes only a suffix of
     the preorder positions: only the vertices whose preorder interval
     reaches the first changed position are rescanned, children first, and
-    the running total moves by the change in each one's count.
+    the running total moves by the change in each one's count.  The
+    labelings that start with 1 are the first (count-1)!, so the
+    root-first histogram is the labeled one snapshotted there.
     """
     kids = shape_arrays(shape)
     count = len(kids)
@@ -249,52 +246,45 @@ def _shape_histogram(shape, root_first: bool):
               for v in range(count - 1, -1, -1) if kids[v] and end[v] > f]
              for f in range(count)]
     first = _first_changes(count)
-    # the permutations of 1..count that start with 1 are the first (count-1)!
-    labelings = math.factorial(count - 1) if root_first else len(first)
+    snap = math.factorial(count - 1)
+    labelings = permutations(range(1, count + 1))
     hist = [0] * count
     mins = [0] * count  # subtree minimum of each vertex
     improper = [0] * count
     total = 0
-    for f, labels in zip(first[:labelings], permutations(range(1, count + 1))):
-        # a leaf is its own minimum; a vertex with children is rescanned below
-        mins[f:] = labels[f:]
-        for v, rev in scans[f]:
-            bound = labels[v]
-            here = 0
-            for c in rev:
-                m = mins[c]
-                if m < bound:
-                    here += 1
-                    bound = m
-            mins[v] = bound
-            total += here - improper[v]
-            improper[v] = here
-        hist[total] += 1
-    return len(kids[0]), hist
+    snapshots = []
+    # zip stops at the end of each run without drawing from ``labelings``
+    for run in (first[:snap], first[snap:]):
+        for f, labels in zip(run, labelings):
+            # a leaf is its own minimum; a vertex with children is rescanned
+            mins[f:] = labels[f:]
+            for v, rev in scans[f]:
+                bound = labels[v]
+                here = 0
+                for c in rev:
+                    m = mins[c]
+                    if m < bound:
+                        here += 1
+                        bound = m
+                mins[v] = bound
+                total += here - improper[v]
+                improper[v] = here
+            hist[total] += 1
+        snapshots.append(hist.copy())
+    return len(kids[0]), snapshots[1], snapshots[0]
 
 
 def edge_status_polynomial(n: int, *, force: bool = False) -> Polynomial:
     """Sum of x^impr y^prop over all labeled plane trees with n edges."""
     _require_bound(n, MAX_LABELED_EDGES, force, "labeled trees")
-    totals = [0] * (n + 1)
-    for shape in plane_shapes(n):
-        _, hist = _shape_histogram(shape, False)
-        for a, cnt in enumerate(hist):
-            totals[a] += cnt
-    return Polynomial({(a, n - a, 0): c for a, c in enumerate(totals)})
+    return _enumerated_table(n, force=force)[0]
 
 
 def rooted_edge_status_polynomial(n: int, *,
                                   force: bool = False) -> Polynomial:
     """Sum of x^impr y^(prop-d) t^d over root-1 trees, d the root degree."""
     _require_bound(n, MAX_LABELED_EDGES, force, "root-1 trees")
-    terms: dict = defaultdict(int)
-    for shape in plane_shapes(n):
-        deg, hist = _shape_histogram(shape, True)
-        for a, cnt in enumerate(hist):
-            if cnt:
-                terms[(a, n - a - deg, deg)] += cnt
-    return Polynomial(terms)
+    return _enumerated_table(n, force=force)[1]
 
 
 def root_degree_polynomial(n: int, *, force: bool = False) -> Polynomial:
@@ -314,8 +304,15 @@ def _enumerated_table(n: int, *, force: bool = False):
     _require_bound(n, MAX_LABELED_EDGES, force, "labeled trees")
     table = _ENUMERATED.get(n)
     if table is None:
-        table = (edge_status_polynomial(n, force=force),
-                 rooted_edge_status_polynomial(n, force=force),
+        labeled = [0] * (n + 1)
+        rooted: dict = defaultdict(int)
+        for shape in plane_shapes(n):
+            deg, hist, root_first = _shape_histograms(shape)
+            for a, cnt in enumerate(hist):
+                labeled[a] += cnt
+                rooted[(a, n - a - deg, deg)] += root_first[a]
+        table = (Polynomial({(a, n - a, 0): c for a, c in enumerate(labeled)}),
+                 Polynomial(rooted),
                  root_degree_polynomial(n, force=force))
         _ENUMERATED[n] = table
     return table

@@ -266,6 +266,31 @@ def test_verify_all_default_sweep_matches_golden(capsys):
     assert out == golden.read_text()
 
 
+def test_verify_all_counts_the_labelings_it_visits(capsys, monkeypatch):
+    # a kernel that skips the last labeling of each n = 6 shape: the counts
+    # line reports the labelings visited, not the family's size
+    from planetrees import polynomials
+
+    first_changes = polynomials._first_changes
+
+    def short(count):
+        first = first_changes(count)
+        return first[:-1] if count == 7 else first
+
+    monkeypatch.setattr(polynomials, "_first_changes", short)
+    monkeypatch.setattr(polynomials, "_ENUMERATED", {})
+    code, out, _ = run(capsys, "verify", "all")
+    assert code == 1
+    golden = Path(__file__).with_name("golden") / "verify_all.txt"
+    # 132 shapes, one labeling short each; the root-first histograms and O_6
+    # are whole, so only the P checks at n = 6 fail
+    assert out == (golden.read_text()
+                   .replace("counts P n=6 PASS 665280 =",
+                            "counts P n=6 FAIL 665148 =")
+                   .replace("thm1 n=6 PASS", "thm1 n=6 FAIL")
+                   .replace("thm2 P order=10 PASS", "thm2 P order=10 FAIL"))
+
+
 def test_verify_bound_without_force(capsys):
     code, _, err = run(capsys, "verify", "thm2", "--order", "11")
     assert code == 2 and "error:" in err

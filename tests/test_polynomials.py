@@ -16,6 +16,7 @@ from planetrees import (
     family_count,
     labeled_trees,
     odd_double_factorial,
+    plane_shapes,
     root_degree_closed_form,
     root_degree_counts,
     root_degree_polynomial,
@@ -29,7 +30,7 @@ from planetrees import (
 )
 from planetrees import polynomials
 
-from oracle import Series, egf_series, sqrt_series
+from oracle import Series, egf_series, shape_histogram, sqrt_series
 
 
 # ---- arithmetic ----
@@ -249,15 +250,37 @@ def test_egf_identities_closed():
     assert report.passed
 
 
-def test_enumerated_table_memo_is_transparent():
+def _oracle_sums(n):
+    """P_n and O_n from the oracle's separate per-shape passes."""
+    labeled, rooted = Polynomial(), Polynomial()
+    for shape in plane_shapes(n):
+        _, hist = shape_histogram(shape, False)
+        deg, root_first = shape_histogram(shape, True)
+        labeled += Polynomial({(a, n - a, 0): c for a, c in enumerate(hist)})
+        rooted += Polynomial({(a, n - a - deg, deg): c
+                              for a, c in enumerate(root_first)})
+    return labeled, rooted
+
+
+def test_enumerated_table_memo_is_transparent(monkeypatch):
     warm = verify_egf_identities(6, source="enumerated")
-    polynomials._ENUMERATED.clear()
+    monkeypatch.setattr(polynomials, "_ENUMERATED", {})
     cold = verify_egf_identities(6, source="enumerated")
     assert cold == warm
-    for n in range(7):
-        assert polynomials._enumerated_table(n) == (
-            edge_status_polynomial(n), rooted_edge_status_polynomial(n),
-            root_degree_polynomial(n))
+    for n in range(6):
+        labeled, rooted, degrees = polynomials._ENUMERATED[n]
+        assert (labeled, rooted) == _oracle_sums(n)
+        assert degrees == root_degree_polynomial(n)
+    for n in range(4):
+        assert polynomials._ENUMERATED[n] == (P_TABLE[n], O_TABLE[n],
+                                              S_TABLE[n])
+
+
+def test_rooted_sum_alone_on_a_cold_memo(monkeypatch):
+    # the rooted sum alone runs the one pass and leaves the whole table
+    monkeypatch.setattr(polynomials, "_ENUMERATED", {})
+    rooted = rooted_edge_status_polynomial(5)
+    assert rooted == polynomials._ENUMERATED[5][1] == _oracle_sums(5)[1]
 
 
 def test_egf_identities_auto_mixes_sources():
