@@ -11,7 +11,6 @@ nonempty line, so ``enum`` output pipes straight into ``classify``,
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 import time
 from typing import Iterator
@@ -22,7 +21,7 @@ from .families import (
     _increasing_kids,
     _labelings,
     _require_bound,
-    catalan,
+    family_count,
     increasing_trees,
     labeled_trees,
     odd_double_factorial,
@@ -149,7 +148,7 @@ def _verify_counts(ns_labeled, ns_increasing, force: bool,
             seen = _enumerated_table(n, force=force)[0].eval(1, 1, 1)
         else:
             seen = sum(1 for _ in _labelings(n, False))
-        lhs = math.factorial(n + 1) * catalan(n)
+        lhs = family_count(n).labeled  # (n+1)! C_n
         rhs = 2 ** n * odd_double_factorial(n)
         ok = seen == lhs == rhs
         print(f"counts P n={n} {'PASS' if ok else 'FAIL'} "
@@ -158,7 +157,7 @@ def _verify_counts(ns_labeled, ns_increasing, force: bool,
     for n in ns_increasing:
         _require_bound(n, MAX_INCREASING_EDGES, force, "increasing trees")
         seen = sum(1 for _ in _increasing_kids(n))
-        expect = odd_double_factorial(n)
+        expect = family_count(n).increasing
         ok = seen == expect
         print(f"counts I n={n} {'PASS' if ok else 'FAIL'} {seen} = {expect}")
         failures += 0 if ok else 1

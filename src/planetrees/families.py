@@ -8,36 +8,37 @@ Families, for a given number of edges n (labels drawn from 1..n+1):
   (2n-1)!!.
 
 Each family is enumerated by a private kernel that visits every object in
-place and builds nothing: ``_labelings`` yields a shape's preorder children
-arrays with each labeling, ``_increasing_kids`` yields the one mutable set
-of child lists of a backtracking walk at each of its leaves.  Counting and
-the polynomial sums run on the kernels; :func:`labeled_trees`,
-:func:`root_one_trees` and :func:`increasing_trees` are thin wrappers that
-build one :class:`PlaneTree` per visit, streaming, so memory stays
-proportional to one tree.  Shapes come from the first-subtree decomposition
-(a shape with n edges is a first child's subtree with k edges plus a
-remaining tree with n-1-k edges), labelings are the lexicographic
-permutations assigned to vertices in depth-first order, and increasing
-trees are grown by inserting the next label into each of the 2m+1 child
-slots of a tree with m edges.  Removing the largest label is
+place and builds nothing: ``_labelings`` yields a shape with each labeling,
+``_increasing_kids`` yields the one mutable set of child lists of a
+backtracking walk at each of its leaves.  Counting and the polynomial sums
+run on the kernels; :func:`labeled_trees`, :func:`root_one_trees` and
+:func:`increasing_trees` are thin wrappers that build one :class:`PlaneTree`
+per visit, streaming, so memory stays proportional to one tree.  A shape is
+the preorder ``parents`` tuple a :class:`PlaneTree` stores, so a labeled
+tree is a shape and a labels tuple as they stand.  Shapes come from the
+first-subtree decomposition (a shape with n edges is a first child's subtree
+with k edges plus a remaining tree with n-1-k edges), labelings are the
+lexicographic permutations assigned to vertices in depth-first order, and
+increasing trees are grown by inserting the next label into each of the 2m+1
+child slots of a tree with m edges.  Removing the largest label is
 deterministic, so every increasing tree has exactly one insertion history;
 choosing slots uniformly at random therefore samples uniformly.  Uniform
 labeled trees combine a uniform shape (random balanced word via the cycle
 rotation trick) with a uniform labeling.
 
 Increasing trees are grown in place, in one mutable list of children per
-vertex (vertex v carries label v+1).  One builder, :func:`build_tree`, turns
-child lists into a :class:`PlaneTree` with edge ids in first-descent order;
-the labeled trees take their shape's preorder parents directly.  Slots are
-numbered depth-first: vertex v with d children owns slots 0..d, its
-positions among its children, before any slot in its subtrees, and a
-subtree with s edges spans 2s+1 slots.  The kernel walks the slots in that
-order by backtracking (insert, descend, remove).  The sampler draws a slot
-number with ``rng.randrange(2m-1)`` and descends to it by subtree sizes
-kept up to date on the way down, scanning the children of each vertex it
-passes.  The root degree grows like sqrt(n), so a sample is superlinear:
-the traced benchmark slope is 1.46-1.55 and n = 3*10^4 takes 0.81 s, 10^5
-projected 4.3 s (ROADMAP baseline; CPython 3.11, 2-vCPU VM).
+vertex (vertex v carries label v+1): child lists are where leaves are
+inserted, and only there.  One builder, :func:`build_tree`, turns them into
+a :class:`PlaneTree` with edge ids in first-descent order, for the
+enumerator and the sampler.  Slots are numbered depth-first: vertex v with d
+children owns slots 0..d, its positions among its children, before any slot
+in its subtrees, and a subtree with s edges spans 2s+1 slots.  The kernel
+walks the slots in that order by backtracking (insert, descend, remove).
+The sampler draws a slot number with ``rng.randrange(2m-1)`` and descends to
+it by subtree sizes kept up to date on the way down, scanning the children
+of each vertex it passes.  The root degree grows like sqrt(n), so a sample
+is superlinear: the traced benchmark slope is 1.46-1.55 and n = 3*10^4 takes
+0.81 s, 10^5 projected 4.3 s (ROADMAP baseline; CPython 3.11, 2-vCPU VM).
 
 The bounds below are where exhaustive work stops being a desk-scale job;
 the polynomial layer and the command line refuse larger n unless forced,
@@ -90,32 +91,23 @@ def family_count(n: int) -> FamilyCount:
 
 # ---- shapes ----
 
-def plane_shapes(n: int) -> Iterator[tuple]:
-    """All plane tree shapes with n edges, as nested tuples of child shapes."""
+def plane_shapes(n: int) -> Iterator[tuple[int, ...]]:
+    """All plane tree shapes with n edges, as preorder parents tuples (the
+    ``parents`` of :class:`PlaneTree`; ``(-1,)`` for n = 0)."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if n == 0:
-        yield ()
+        yield (-1,)
         return
     for k in range(n):
+        # the first child's subtree sits at positions 1..k+1, and the
+        # remaining tree's other vertices follow it
+        tails = [tuple(p + k + 1 if p else 0 for p in rest[1:])
+                 for rest in plane_shapes(n - 1 - k)]
         for first in plane_shapes(k):
-            for rest in plane_shapes(n - 1 - k):
-                yield (first,) + rest
-
-
-def shape_arrays(shape: tuple) -> list[list[int]]:
-    """Children arrays of a shape, vertices indexed in preorder."""
-    kids: list[list[int]] = []
-    stack = [(shape, -1)]
-    while stack:
-        sub, p = stack.pop()
-        v = len(kids)
-        kids.append([])
-        if p >= 0:
-            kids[p].append(v)
-        for child in reversed(sub):
-            stack.append((child, v))
-    return kids
+            head = (-1, 0) + tuple(p + 1 for p in first[1:])
+            for tail in tails:
+                yield head + tail
 
 
 def build_tree(kids: list[list[int]]) -> PlaneTree:
@@ -153,34 +145,28 @@ def _require_bound(n: int, bound: int, force: bool, what: str) -> None:
 
 
 def _labelings(n: int,
-               root_first: bool) -> Iterator[tuple[list[list[int]], tuple]]:
-    """Kernel: (children arrays, labels) for every shape and labeling.
+               root_first: bool) -> Iterator[tuple[tuple[int, ...], tuple]]:
+    """Kernel: (shape, labels) for every shape and labeling.
 
-    Shapes come in :func:`plane_shapes` order and, within a shape, labels
-    are the lexicographic permutations of 1..n+1 by preorder vertex; with
-    ``root_first`` only those with the root labeled 1.  One children array
-    is shared by all labelings of its shape; no tree is built.
+    Shapes are :func:`plane_shapes`' preorder parents tuples, in its order;
+    within a shape, labels are the lexicographic permutations of 1..n+1 by
+    preorder vertex, and with ``root_first`` only those with the root
+    labeled 1.  One shape tuple is shared by all its labelings; no tree is
+    built.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     # the permutations of 1..n+1 that start with 1 are the first n! of them
     per_shape = math.factorial(n) if root_first else math.factorial(n + 1)
     for shape in plane_shapes(n):
-        kids = shape_arrays(shape)
         for labels in islice(permutations(range(1, n + 2)), per_shape):
-            yield kids, labels
+            yield shape, labels
 
 
 def _labeled_trees(n: int, root_first: bool) -> Iterator[PlaneTree]:
-    # the children arrays are in preorder, so each labeling is the labels
-    # tuple as it stands, and the parents change only with the shape
+    # a shape is the tree's parents tuple, and a labeling its labels tuple
     edges = tuple(range(-1, n))
-    kids = parents = None
-    for here, labels in _labelings(n, root_first):
-        if here is not kids:
-            kids = here
-            up = {c: v for v, children in enumerate(kids) for c in children}
-            parents = tuple(up.get(v, -1) for v in range(len(kids)))
+    for parents, labels in _labelings(n, root_first):
         yield PlaneTree._trusted(labels, parents, edges)
 
 

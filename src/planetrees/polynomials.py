@@ -13,14 +13,16 @@ t^(root degree).  Summing over a whole family gives, per n:
 
 Enumeration.  These sums visit every object and build no tree.  The
 edge-status sums share one pass per shape over its labelings in
-lexicographic order.  A right-to-left scan over a vertex's children, from
-its own label, marks a child edge improper when the child's subtree
-minimum is below every label met so far, and ends at the vertex's subtree
-minimum; a labeling rescans only the vertices whose subtree reaches its
-first changed position.  The root-1 labelings come first, (count-1)! of
-them, so the root-1 histogram is a snapshot taken there; P_n at x = y = 1
-counts the labelings visited.  The root-degree sum reads the root's child
-list at each leaf of the increasing-tree walk; each n runs once per process.
+lexicographic order; the shape's preorder parents give its right-to-left
+child lists and subtree ends in one reverse-preorder loop.  A
+right-to-left scan over a vertex's children, from its own label, marks a
+child edge improper when the child's subtree minimum is below every label
+met so far, and ends at the vertex's subtree minimum; a labeling rescans
+only the vertices whose subtree reaches its first changed position.  The
+root-1 labelings come first, (count-1)! of them, so the root-1 histogram
+is a snapshot taken there; P_n at x = y = 1 counts the labelings visited.
+The root-degree sum reads the root's child list at each leaf of the
+increasing-tree walk; each n runs once per process.
 
 Closed forms.  The first sum collapses to (2n-1)!! (x+y)^n and the second
 to sum_r S[n,r] t^r (x+y)^(n-r), where S[n,r] counts increasing trees with
@@ -50,19 +52,18 @@ holds through q^order when A_0 = 1 and, for 1 <= N <= order,
 drawing coefficients from enumeration, from the closed forms, or from both.
 
 Everything here is exact integer arithmetic on polynomials in x, y and t,
-with no series and no rationals.  This is deliberately not a general
-computer-algebra layer; three fixed variables and evaluation at scalars is
-all the involved identities need.
+with no series and no rationals (:class:`Polynomial` takes int scalars
+only).  This is deliberately not a general computer-algebra layer; three
+fixed variables and evaluation at scalars is all the identities need.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from itertools import permutations
+from typing import NamedTuple
 
 from .families import (
     MAX_INCREASING_EDGES,
@@ -71,7 +72,6 @@ from .families import (
     _require_bound,
     odd_double_factorial,
     plane_shapes,
-    shape_arrays,
 )
 
 MAX_SERIES_ORDER = 10
@@ -82,8 +82,8 @@ Monomial = tuple[int, int, int]  # exponents of x, y, t
 class Polynomial:
     """Sparse exact polynomial in x, y and t.
 
-    Terms live in a dict keyed by exponent triples; coefficients are ints
-    (or Fractions, when scaled by one) and zero coefficients are never
+    Terms live in a dict keyed by exponent triples; coefficients are ints,
+    the only scalars arithmetic accepts, and zero coefficients are never
     stored.  Instances are treated as immutable.
     """
 
@@ -127,7 +127,7 @@ class Polynomial:
         return other + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return Polynomial({k: v * other for k, v in self.coeffs.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -195,7 +195,7 @@ class Polynomial:
 def _coerce(value):
     if isinstance(value, Polynomial):
         return value
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, int):
         return Polynomial.constant(value)
     return NotImplemented
 
@@ -223,9 +223,10 @@ def _first_changes(count: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _shape_histograms(shape):
-    """(root degree, labeled, root-first): entry a of each histogram counts
-    the labelings, all or those giving the root label 1, with a improper edges.
+def _shape_histograms(parents):
+    """(root degree, labeled, root-first) of the shape with these preorder
+    parents: entry a of each histogram counts the labelings, all or those
+    giving the root label 1, with a improper edges.
 
     Labelings come in lexicographic order, so each changes only a suffix of
     the preorder positions: only the vertices whose preorder interval
@@ -234,15 +235,17 @@ def _shape_histograms(shape):
     labelings that start with 1 are the first (count-1)!, so the
     root-first histogram is the labeled one snapshotted there.
     """
-    kids = shape_arrays(shape)
-    count = len(kids)
+    count = len(parents)
+    kids: list[list[int]] = [[] for _ in range(count)]  # right to left
     end = list(range(1, count + 1))  # one past the last vertex of each subtree
-    for v in range(count - 1, -1, -1):
-        if kids[v]:
-            end[v] = end[kids[v][-1]]
+    for v in range(count - 1, 0, -1):  # a parent meets its last child first
+        p = parents[v]
+        if not kids[p]:
+            end[p] = end[v]
+        kids[p].append(v)
     # per first changed position: the vertices with children whose interval
     # reaches it, in reverse preorder (children before parents)
-    scans = [[(v, tuple(reversed(kids[v])))
+    scans = [[(v, tuple(kids[v]))
               for v in range(count - 1, -1, -1) if kids[v] and end[v] > f]
              for f in range(count)]
     first = _first_changes(count)
@@ -354,8 +357,7 @@ def rooted_closed_form(n: int) -> Polynomial:
 
 # ---- verification ----
 
-@dataclass(frozen=True)
-class ClosedFormReport:
+class ClosedFormReport(NamedTuple):
     n: int
     labeled: Polynomial
     rooted: Polynomial
@@ -386,8 +388,7 @@ def verify_closed_forms(n: int, *, force: bool = False) -> ClosedFormReport:
     )
 
 
-@dataclass(frozen=True)
-class EgfReport:
+class EgfReport(NamedTuple):
     order: int
     source: str
     labeled_ok: bool

@@ -13,13 +13,15 @@ Stirling permutation is a maximal balanced factor.  The inverse reads the
 word left to right: the first copy of v opens a child labeled v+1, the
 second copy closes it.
 
-That reading is written once, as a private stack walk (``_stirling_kids``)
-that validates a word in a single pass and returns the child lists of the
-increasing tree it encodes.  :func:`is_stirling`, :func:`blocks`,
-:func:`stirling_to_tree` and :func:`block_table` all read it, and the tree
-is assembled by ``families.build_tree``, as for the increasing-tree
-enumerator and sampler.  :func:`tree_to_stirling` walks the tree's preorder
-``parents`` with one stack of the open vertices.
+That reading is written once, as a private stack walk
+(``_stirling_arrays``) that validates a word in a single pass and returns
+the preorder ``labels`` and ``parents`` of the increasing tree it encodes:
+the first copies of the values come in the walk's preorder, each under the
+vertex open at that point.  :func:`is_stirling`, :func:`blocks`,
+:func:`stirling_to_tree` and :func:`block_table` all read it, and
+:func:`stirling_to_tree` wraps its arrays as they stand.
+:func:`tree_to_stirling` walks the tree's preorder ``parents`` with one
+stack of the open vertices.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from __future__ import annotations
 from collections import Counter
 from typing import Sequence
 
-from .families import build_tree
 from .tree import PlaneTree, has_canonical_labels, is_increasing
 
 
@@ -54,14 +55,14 @@ def format_permutation(seq: Sequence[int]) -> str:
     return " ".join(str(v) for v in seq)
 
 
-def _stirling_kids(seq: Sequence[int]) -> list[list[int]] | None:
-    """Child lists of the increasing tree that seq encodes (vertex v carries
-    label v+1), or None when seq is not a Stirling permutation."""
+def _stirling_arrays(seq: Sequence[int]) -> tuple[list, list] | None:
+    """Preorder (labels, parents) of the increasing tree that seq encodes,
+    or None when seq is not a Stirling permutation."""
     if len(seq) % 2:
         return None
     n = len(seq) // 2
-    kids: list[list[int]] = [[] for _ in range(n + 1)]
-    opened = bytearray(n + 1)
+    labels, parents = [1], [-1]  # the root's
+    at = [0] * (n + 1)  # preorder position of each opened value, 0 if unopened
     stack = [0]  # the root, then the values opened and not yet closed
     for v in seq:
         if not 1 <= v <= n:
@@ -69,25 +70,27 @@ def _stirling_kids(seq: Sequence[int]) -> list[list[int]] | None:
         top = stack[-1]
         if v == top:
             stack.pop()            # second copy closes the top
-        elif opened[v] or v < top:
+        elif at[v] or v < top:
             return None            # a stray second or third copy, or a descent
         else:
-            opened[v] = 1          # first copy opens child v+1 under the top
-            kids[top].append(v)
+            # first copy: child v+1 of the top, the next vertex in preorder
+            at[v] = len(labels)
+            labels.append(v + 1)
+            parents.append(at[top])
             stack.append(v)
-    return kids if len(stack) == 1 else None
+    return (labels, parents) if len(stack) == 1 else None
 
 
 def is_stirling(seq: Sequence[int]) -> bool:
     """True iff seq is a Stirling permutation of {1,1,...,n,n} for some n."""
-    return _stirling_kids(seq) is not None
+    return _stirling_arrays(seq) is not None
 
 
-def _checked_kids(seq: Sequence[int]) -> list[list[int]]:
-    kids = _stirling_kids(seq)
-    if kids is None:
+def _checked_arrays(seq: Sequence[int]) -> tuple[list, list]:
+    arrays = _stirling_arrays(seq)
+    if arrays is None:
         raise ValueError("not a Stirling permutation")
-    return kids
+    return arrays
 
 
 def blocks(seq: Sequence[int]) -> list[tuple[int, int]]:
@@ -95,7 +98,8 @@ def blocks(seq: Sequence[int]) -> list[tuple[int, int]]:
     index ranges."""
     # a block is one child of the root: it starts at the child's first copy
     # and ends at its second, and the root's children do not nest
-    outer = set(_checked_kids(seq)[0])
+    labels, parents = _checked_arrays(seq)
+    outer = {label - 1 for label, p in zip(labels, parents) if p == 0}
     marks = [i for i, v in enumerate(seq) if v in outer]
     return [(marks[k], marks[k + 1] + 1) for k in range(0, len(marks), 2)]
 
@@ -126,7 +130,9 @@ def tree_to_stirling(tree: PlaneTree) -> tuple[int, ...]:
 def stirling_to_tree(seq: Sequence[int]) -> PlaneTree:
     """Inverse walk: first copy of v opens a child labeled v+1 under the
     current vertex, second copy closes it."""
-    return build_tree(_checked_kids(seq))
+    labels, parents = _checked_arrays(seq)
+    return PlaneTree._trusted(tuple(labels), tuple(parents),
+                              tuple(range(-1, len(labels) - 1)))
 
 
 def stirling_permutations(n: int):
@@ -146,5 +152,5 @@ def stirling_permutations(n: int):
 def block_table(n: int) -> Counter:
     """Distribution of the block count over all order-n permutations."""
     # the blocks are the root's children
-    return Counter(len(_stirling_kids(seq)[0])
+    return Counter(_stirling_arrays(seq)[1].count(0)
                    for seq in stirling_permutations(n))

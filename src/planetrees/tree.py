@@ -60,12 +60,17 @@ class EdgeStatus(Enum):
 
 
 def _check_handle(labels, parents, edges) -> None:
-    """Reject arrays that are not one preorder tree with distinct edge ids."""
+    """Reject arrays that are not one preorder tree with distinct positive
+    int labels and distinct edge ids."""
     count = len(labels)
     if not count == len(parents) == len(edges) > 0 or min(edges) < -1 or (
             edges[0] != -1):
         raise ValueError("a tree needs equally long labels, parents and "
                          "edges, with edge id -1 into the root only")
+    # the parser's rule: a bool or a str is not a label, and neither is 0
+    if set(map(type, labels)) != {int} or min(labels) < 1 or (
+            len(set(labels)) != count):
+        raise ValueError("labels must be distinct positive integers")
     if len(set(edges)) != count:
         raise ValueError("repeated edge id")
     path = []  # the previous vertex and its ancestors
@@ -81,7 +86,8 @@ class PlaneTree:
     """An immutable plane tree value.
 
     ``PlaneTree(handle, tags)`` builds a tree from the ``root`` handle of
-    another tree, the ``(labels, parents, edges)`` triple, which it checks.
+    another tree, the ``(labels, parents, edges)`` triple, which it checks:
+    one preorder tree, distinct positive int labels, distinct edge ids.
     ``tags``, also checked, maps every edge id to one of ``x``/``y``/``t``
     on a tagged tree and is ``None`` on an untagged one.  Operations on
     trees never mutate their input; they build new trees.

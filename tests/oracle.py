@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
-from planetrees.families import odd_double_factorial, plane_shapes, shape_arrays
+from planetrees.families import odd_double_factorial, plane_shapes
 from planetrees.polynomials import Polynomial, T, X, Y
 from planetrees.tree import (
     EdgeStatus,
@@ -683,39 +683,42 @@ def sample_increasing_trees(n, seed, count):
 
 # ---- the exhaustive routes before the enumeration kernels ----
 
+def shape_kids(parents):
+    """Preorder children arrays of a shape given by its preorder parents."""
+    kids = [[] for _ in parents]
+    for v, p in enumerate(parents[1:], 1):
+        kids[p].append(v)
+    return kids
+
+
 def labelings(n, root_first):
-    """(preorder children arrays, labels) for every shape and labeling."""
+    """(shape, labels) for every shape and labeling."""
     if n < 0:
         raise ValueError("n must be >= 0")
     for shape in plane_shapes(n):
-        kids = shape_arrays(shape)
         if root_first:
             for rest in permutations(range(2, n + 2)):
-                yield kids, (1,) + rest
+                yield shape, (1,) + rest
         else:
             for labels in permutations(range(1, n + 2)):
-                yield kids, labels
+                yield shape, labels
 
 
 def labeled_trees(n):
-    for kids, labels in labelings(n, False):
-        yield flat(node_build_tree(kids, labels))
+    for shape, labels in labelings(n, False):
+        yield flat(node_build_tree(shape_kids(shape), labels))
 
 
 def root_one_trees(n):
-    for kids, labels in labelings(n, True):
-        yield flat(node_build_tree(kids, labels))
+    for shape, labels in labelings(n, True):
+        yield flat(node_build_tree(shape_kids(shape), labels))
 
 
 def shape_histogram(shape, root_first):
     """(root degree, h) with h[a] the labelings with a improper edges, every
     subtree minimum and every vertex's count computed afresh per labeling."""
-    kids = shape_arrays(shape)
+    kids = shape_kids(shape)
     count = len(kids)
-    par = [-1] * count
-    for v, here in enumerate(kids):
-        for c in here:
-            par[c] = v
     scan = [(v, tuple(reversed(kids[v]))) for v in range(count) if kids[v]]
     hist = [0] * count
     if root_first:
@@ -726,7 +729,7 @@ def shape_histogram(shape, root_first):
         beta = list(labels)
         for v in range(count - 1, 0, -1):  # reverse preorder: child before parent
             b = beta[v]
-            p = par[v]
+            p = shape[v]
             if b < beta[p]:
                 beta[p] = b
         impr = 0
@@ -763,9 +766,15 @@ def _poly(value):
     return value if isinstance(value, Polynomial) else Polynomial.constant(value)
 
 
+def _scaled(poly, factor):
+    """poly with every coefficient times a Fraction; the library's
+    ``Polynomial`` takes int scalars only."""
+    return Polynomial({k: v * factor for k, v in poly.coeffs.items()})
+
+
 class Series:
     """Power series in q truncated at a fixed order, with Polynomial
-    coefficients over exact rationals."""
+    coefficients over exact rationals (scaled here by :func:`_scaled`)."""
 
     __slots__ = ("coeffs",)
 
@@ -837,13 +846,13 @@ def sqrt_series(u, order):
     for m in range(1, order + 1):
         upow = upow * u
         scale = Fraction(-odd_double_factorial(m - 1), math.factorial(m))
-        coeffs.append(upow * scale)
+        coeffs.append(_scaled(upow, scale))
     return Series(coeffs)
 
 
 def egf_series(polys):
     """Series whose q^n coefficient is the n-th given polynomial over n!."""
-    return Series(_poly(p) * Fraction(1, math.factorial(n))
+    return Series(_scaled(_poly(p), Fraction(1, math.factorial(n)))
                   for n, p in enumerate(polys))
 
 

@@ -1,5 +1,5 @@
 """What the package and each CLI command load, seen from fresh interpreters,
-and the record types that no longer need ``dataclasses``."""
+and the record types that need no ``dataclasses``."""
 
 import json
 import os
@@ -12,6 +12,8 @@ import pytest
 
 import planetrees
 from planetrees import (
+    ClosedFormReport,
+    EgfReport,
     FamilyCount,
     TreeStats,
     family_count,
@@ -23,6 +25,8 @@ from planetrees import (
     to_increasing,
     tree_stats,
     tree_to_stirling,
+    verify_closed_forms,
+    verify_egf_identities,
 )
 
 from conftest import FIG_LABELED
@@ -31,9 +35,11 @@ from conftest import FIG_LABELED
 # process imported, so it runs that same copy whatever its working directory
 PACKAGE_ROOT = Path(planetrees.__file__).resolve().parents[1]
 
-# what only `verify` needs: the polynomial layer and the modules it pulls in
-VERIFY_ONLY = {"planetrees.polynomials", "fractions", "decimal",
-               "dataclasses", "inspect"}
+# modules no command needs: the polynomial layer takes int scalars only and
+# its records are NamedTuples
+HEAVY = {"fractions", "decimal", "dataclasses", "inspect"}
+# what no pipe stage needs: those and the polynomial layer
+VERIFY_ONLY = {"planetrees.polynomials"} | HEAVY
 
 IMPORT_LINE = re.compile(r"^import time:\s+\d+ \|\s+\d+ \|\s+(\S+)$", re.M)
 
@@ -84,9 +90,11 @@ def test_pipe_commands_load_no_verify_module():
 
 def test_verify_loads_the_polynomial_layer():
     # the positive control: the same reading sees what verify imports
+    _, _, bare = imports("-c", "pass")
     code, out, loaded = imports("-m", "planetrees", "verify", "thm1", "--n", "1")
     assert code == 0 and out.endswith("thm1 n=1 PASS\n")
     assert "planetrees.polynomials" in loaded
+    assert (loaded - bare) & HEAVY == set()
 
 
 def test_verify_counts_alone_loads_no_verify_module():
@@ -177,6 +185,20 @@ def test_record_types_keep_fields_immutability_and_repr():
                                    "catalan")
     assert repr(counts) == ("FamilyCount(n=3, labeled=120, root_one=30, "
                             "increasing=15, catalan=5)")
-    for record, field in ((stats, "proper"), (counts, "labeled")):
+    closed = verify_closed_forms(1)
+    assert ClosedFormReport._fields == ("n", "labeled", "rooted",
+                                        "labeled_ok", "rooted_ok")
+    assert repr(closed) == ("ClosedFormReport(n=1, labeled=Polynomial(x + y), "
+                            "rooted=Polynomial(t), labeled_ok=True, "
+                            "rooted_ok=True)")
+    assert closed.passed
+    egf = verify_egf_identities(2, source="closed")
+    assert EgfReport._fields == ("order", "source", "labeled_ok", "rooted_ok",
+                                 "degree_ok")
+    assert repr(egf) == ("EgfReport(order=2, source='closed', "
+                         "labeled_ok=True, rooted_ok=True, degree_ok=True)")
+    assert egf.passed and not egf._replace(rooted_ok=False).passed
+    for record, field in ((stats, "proper"), (counts, "labeled"),
+                          (closed, "n"), (egf, "order")):
         with pytest.raises(AttributeError):
             setattr(record, field, 0)

@@ -53,6 +53,17 @@ def test_eval():
     assert (X + Y).eval(Fraction(1, 2), Fraction(1, 2), 0) == 1
 
 
+def test_scalars_are_ints_only():
+    # rationals live in the test oracle's Series, not in the library
+    with pytest.raises(TypeError):
+        X * Fraction(1, 2)
+    with pytest.raises(TypeError):
+        Fraction(1, 2) * X
+    with pytest.raises(TypeError):
+        X + Fraction(1, 2)
+    assert X * 2 == X + X
+
+
 def test_zero_handling():
     assert Polynomial({(1, 0, 0): 0}).is_zero
     assert str(Polynomial()) == "0"

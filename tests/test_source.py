@@ -92,3 +92,28 @@ def test_readme_entry_points_are_exported():
     assert len(names) == 24
     assert [name for name in names if not hasattr(planetrees, name)] == []
     assert [name for name in names if name not in planetrees.__all__] == []
+
+
+# which sibling modules each module reads with `from .x import`, anywhere in
+# its body; `stirling` decodes words into parents tuples itself, so it
+# reads `tree` and not `families`
+IMPORT_GRAPH = {
+    "__init__": set(),
+    "__main__": {"cli"},
+    "cli": {"families", "involution", "polynomials", "stirling", "tree"},
+    "families": {"tree"},
+    "involution": {"tree"},
+    "polynomials": {"families"},
+    "stirling": {"tree"},
+    "tree": set(),
+}
+
+
+def test_package_import_graph():
+    graph = {}
+    for path in SOURCES:
+        body = ast.parse(path.read_text(), str(path))
+        graph[path.stem] = {node.module for node in ast.walk(body)
+                            if isinstance(node, ast.ImportFrom)
+                            and node.level == 1}
+    assert graph == IMPORT_GRAPH

@@ -213,14 +213,27 @@ def test_has_canonical_labels():
 
 def test_repeated_label_is_not_canonical():
     # two vertices labeled 2 make the label set {1, 2}, which is 1..2 but
-    # not 1..3 for three vertices
-    tree = oracle.from_nodes(oracle.Node(1, [(0, oracle.Node(2)),
-                                             (1, oracle.Node(2))]))
+    # not 1..3 for three vertices; only the unchecked builder makes the tree
+    tree = PlaneTree._trusted((1, 2, 2), (-1, 0, 0), (-1, 0, 1))
     assert not has_canonical_labels(tree)
     with pytest.raises(ValueError, match="labels must be exactly"):
         to_increasing(tree)
     with pytest.raises(ValueError, match="labels must be exactly"):
         tree_to_stirling(tree)
+    with pytest.raises(ValueError, match="labels must be distinct positive"):
+        PlaneTree(tree.root)
+
+
+@pytest.mark.parametrize("labels", [
+    (1, 1),         # repeated: renders as 1(1), which the parser rejects
+    ("a", "b"),     # not ints
+    (0, -5),        # not positive
+    (True, 2),      # a bool is not a label
+    (1.0, 2),       # nor is a float
+])
+def test_checked_constructor_takes_only_what_the_parser_reads(labels):
+    with pytest.raises(ValueError, match="labels must be distinct positive"):
+        PlaneTree((labels, (-1, 0), (-1, 0)))
 
 
 def test_tags_survive_round_trip():
