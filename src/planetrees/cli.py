@@ -143,7 +143,7 @@ def _verify_counts(ns_labeled, ns_increasing, force: bool,
     failures = 0
     for n in ns_labeled:
         _require_bound(n, MAX_LABELED_EDGES, force, "labeled trees")
-        if from_table:  # verify all: the labelings thm1's one pass visits
+        if from_table:  # verify all: the labelings thm1's subset sums count
             from .polynomials import _enumerated_table
             seen = _enumerated_table(n, force=force)[0].eval(1, 1, 1)
         else:

@@ -11,18 +11,16 @@ t^(root degree).  Summing over a whole family gives, per n:
 * ``rooted_edge_status_polynomial``  over the root-1 trees,
 * ``root_degree_polynomial``   over the increasing trees.
 
-Enumeration.  These sums visit every object and build no tree.  The
-edge-status sums share one pass per shape over its labelings in
-lexicographic order; the shape's preorder parents give its right-to-left
-child lists and subtree ends in one reverse-preorder loop.  A
-right-to-left scan over a vertex's children, from its own label, marks a
-child edge improper when the child's subtree minimum is below every label
-met so far, and ends at the vertex's subtree minimum; a labeling rescans
-only the vertices whose subtree reaches its first changed position.  The
-root-1 labelings come first, (count-1)! of them, so the root-1 histogram
-is a snapshot taken there; P_n at x = y = 1 counts the labelings visited.
-The root-degree sum reads the root's child list at each leaf of the
-increasing-tree walk; each n runs once per process.
+Enumeration.  These sums count every object exactly and build no tree.
+The edge-status sums take each shape's histograms by improper edge count
+from one sum over the sets of its vertices: handing out the labels in
+increasing order, the improper edges the next label adds depend only on
+the vertices labeled so far and on the one it goes to, so 2^(n+1) sets
+stand in for the (n+1)! labelings.  The sum for the empty set is the
+labeled histogram and the sum for the root alone the root-1 one; P_n at
+x = y = 1 counts the labelings summed.  The root-degree sum reads the
+root's child list at each leaf of the increasing-tree walk; each n runs
+once per process.
 
 Closed forms.  The first sum collapses to (2n-1)!! (x+y)^n and the second
 to sum_r S[n,r] t^r (x+y)^(n-r), where S[n,r] counts increasing trees with
@@ -61,8 +59,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
-from functools import cache
-from itertools import permutations
 from typing import NamedTuple
 
 from .families import (
@@ -207,74 +203,52 @@ T = Polynomial({(0, 0, 1): 1})
 
 # ---- enumerated statistics ----
 
-@cache
-def _first_changes(count: int) -> tuple[int, ...]:
-    """Entry k: the first position where the k-th lexicographic permutation
-    of count items differs from the one before it (0 for k = 0)."""
-    perms = permutations(range(count))
-    prev = next(perms)
-    out = [0]
-    for perm in perms:
-        f = 0
-        while perm[f] == prev[f]:
-            f += 1
-        out.append(f)
-        prev = perm
-    return tuple(out)
-
-
 def _shape_histograms(parents):
     """(root degree, labeled, root-first) of the shape with these preorder
     parents: entry a of each histogram counts the labelings, all or those
     giving the root label 1, with a improper edges.
 
-    Labelings come in lexicographic order, so each changes only a suffix of
-    the preorder positions: only the vertices whose preorder interval
-    reaches the first changed position are rescanned, children first, and
-    the running total moves by the change in each one's count.  The
-    labelings that start with 1 are the first (count-1)!, so the
-    root-first histogram is the labeled one snapshotted there.
+    Labels 1, 2, ... are handed out in increasing order.  The edge into a
+    child c of v is improper exactly when the first vertex of
+    A_c = {v} + [c, end(v)) to get a label lies in c's subtree [c, end(c)),
+    so the next label, given to w once the set S is labeled, adds the
+    number of vertices c on the path from w up to the root (root excluded)
+    with A_c disjoint from S.  f[S], the histogram over the orders in which
+    the rest get their labels, sums f[S + w] shifted by that number over
+    the w outside S; f[{}] is the labeled histogram and f[{root}] the
+    root-first one.  A histogram is one int with a digit of ``width`` bits
+    per improper count: no entry exceeds count!, so no digit carries.
     """
     count = len(parents)
-    kids: list[list[int]] = [[] for _ in range(count)]  # right to left
+    full = (1 << count) - 1
+    width = math.factorial(count).bit_length()
     end = list(range(1, count + 1))  # one past the last vertex of each subtree
-    for v in range(count - 1, 0, -1):  # a parent meets its last child first
-        p = parents[v]
-        if not kids[p]:
-            end[p] = end[v]
-        kids[p].append(v)
-    # per first changed position: the vertices with children whose interval
-    # reaches it, in reverse preorder (children before parents)
-    scans = [[(v, tuple(kids[v]))
-              for v in range(count - 1, -1, -1) if kids[v] and end[v] > f]
-             for f in range(count)]
-    first = _first_changes(count)
-    snap = math.factorial(count - 1)
-    labelings = permutations(range(1, count + 1))
-    hist = [0] * count
-    mins = [0] * count  # subtree minimum of each vertex
-    improper = [0] * count
-    total = 0
-    snapshots = []
-    # zip stops at the end of each run without drawing from ``labelings``
-    for run in (first[:snap], first[snap:]):
-        for f, labels in zip(run, labelings):
-            # a leaf is its own minimum; a vertex with children is rescanned
-            mins[f:] = labels[f:]
-            for v, rev in scans[f]:
-                bound = labels[v]
-                here = 0
-                for c in rev:
-                    m = mins[c]
-                    if m < bound:
-                        here += 1
-                        bound = m
-                mins[v] = bound
-                total += here - improper[v]
-                improper[v] = here
-            hist[total] += 1
-        snapshots.append(hist.copy())
-    return len(kids[0]), snapshots[1], snapshots[0]
+    for v in range(count - 1, 0, -1):
+        end[parents[v]] = max(end[parents[v]], end[v])
+    up = [0] * count  # each vertex and its ancestors below the root, as bits
+    closes = [0] * count  # the c whose A_c holds each vertex, as bits
+    for c in range(1, count):
+        p = parents[c]
+        up[c] = up[p] | 1 << c
+        for u in (p, *range(c, end[p])):
+            closes[u] |= 1 << c
+    disjoint = [full - 1]  # per set S, the c with A_c disjoint from S
+    for s in range(1, full + 1):
+        low = s & -s
+        disjoint.append(disjoint[s ^ low] & ~closes[low.bit_length() - 1])
+    moves = [(1 << w, up[w]) for w in range(count)]
+    f = [0] * full + [1]
+    for s in range(full - 1, -1, -1):
+        open_ = disjoint[s]
+        total = 0
+        for bit, path in moves:
+            if not s & bit:
+                total += f[s | bit] << width * (open_ & path).bit_count()
+        f[s] = total
+    digit = (1 << width) - 1
+    labeled, root_first = ([h >> width * a & digit for a in range(count)]
+                           for h in (f[0], f[1]))
+    return parents.count(0), labeled, root_first
 
 
 def edge_status_polynomial(n: int, *, force: bool = False) -> Polynomial:

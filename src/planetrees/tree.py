@@ -61,13 +61,16 @@ class EdgeStatus(Enum):
 
 def _check_handle(labels, parents, edges) -> None:
     """Reject arrays that are not one preorder tree with distinct positive
-    int labels and distinct edge ids."""
+    int labels and distinct int edge ids."""
     count = len(labels)
-    if not count == len(parents) == len(edges) > 0 or min(edges) < -1 or (
-            edges[0] != -1):
-        raise ValueError("a tree needs equally long labels, parents and "
-                         "edges, with edge id -1 into the root only")
-    # the parser's rule: a bool or a str is not a label, and neither is 0
+    # the parser's rule, for parents and edge ids as for the labels below: a
+    # bool, a float or a str is not an int
+    if not count == len(parents) == len(edges) > 0 or (
+            set(map(type, parents + edges)) != {int}):
+        raise ValueError("a tree needs equally long labels, int parents and "
+                         "int edge ids")
+    if min(edges) < -1 or edges[0] != -1:
+        raise ValueError("edge ids must be -1 into the root, >= 0 elsewhere")
     if set(map(type, labels)) != {int} or min(labels) < 1 or (
             len(set(labels)) != count):
         raise ValueError("labels must be distinct positive integers")

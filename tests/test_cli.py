@@ -267,17 +267,20 @@ def test_verify_all_default_sweep_matches_golden(capsys):
 
 
 def test_verify_all_counts_the_labelings_it_visits(capsys, monkeypatch):
-    # a kernel that skips the last labeling of each n = 6 shape: the counts
-    # line reports the labelings visited, not the family's size
+    # a kernel that drops one labeling from the labeled histogram of each
+    # n = 6 shape: the counts line reports the labelings the histograms
+    # count, not the family's size
     from planetrees import polynomials
 
-    first_changes = polynomials._first_changes
+    kernel = polynomials._shape_histograms
 
-    def short(count):
-        first = first_changes(count)
-        return first[:-1] if count == 7 else first
+    def short(parents):
+        deg, labeled, root_first = kernel(parents)
+        if len(parents) == 7:
+            labeled[0] -= 1  # every shape has a labeling with no improper edge
+        return deg, labeled, root_first
 
-    monkeypatch.setattr(polynomials, "_first_changes", short)
+    monkeypatch.setattr(polynomials, "_shape_histograms", short)
     monkeypatch.setattr(polynomials, "_ENUMERATED", {})
     code, out, _ = run(capsys, "verify", "all")
     assert code == 1
@@ -289,6 +292,22 @@ def test_verify_all_counts_the_labelings_it_visits(capsys, monkeypatch):
                             "counts P n=6 FAIL 665148 =")
                    .replace("thm1 n=6 PASS", "thm1 n=6 FAIL")
                    .replace("thm2 P order=10 PASS", "thm2 P order=10 FAIL"))
+
+
+def test_verify_thm1_forced_past_the_bound(capsys, monkeypatch):
+    # n = 7 is one past the enumeration bound; the subset sum takes it in
+    # well under a second
+    from planetrees import polynomials
+
+    monkeypatch.setattr(polynomials, "_ENUMERATED", {})
+    code, out, _ = run(capsys, "verify", "thm1", "--n", "7", "--force")
+    assert code == 0
+    lines = out.splitlines()
+    assert "thm1 n=7 PASS" in lines
+    # 135135 (x+y)^7, expanded by hand: 135135 C(7, k) x^(7-k) y^k
+    assert ("P_7 = 135135x^7 + 945945x^6y + 2837835x^5y^2 + 4729725x^4y^3"
+            " + 4729725x^3y^4 + 2837835x^2y^5 + 945945xy^6 + 135135y^7"
+            ) in lines
 
 
 def test_verify_bound_without_force(capsys):

@@ -288,7 +288,7 @@ def test_enumerated_table_memo_is_transparent(monkeypatch):
 
 
 def test_rooted_sum_alone_on_a_cold_memo(monkeypatch):
-    # the rooted sum alone runs the one pass and leaves the whole table
+    # the rooted sum alone runs the subset sums and leaves the whole table
     monkeypatch.setattr(polynomials, "_ENUMERATED", {})
     rooted = rooted_edge_status_polynomial(5)
     assert rooted == polynomials._ENUMERATED[5][1] == _oracle_sums(5)[1]

@@ -236,6 +236,18 @@ def test_checked_constructor_takes_only_what_the_parser_reads(labels):
         PlaneTree((labels, (-1, 0), (-1, 0)))
 
 
+@pytest.mark.parametrize("parents, edges", [
+    ((-1, 0), (-1, 0.5)),    # a float edge id: improper_edges gave [0.5]
+    ((-1, 0.0), (-1, 0)),    # a float parent: render_tree raised TypeError
+    ((-1, 0), (-1, "a")),    # a str edge id: min raised TypeError
+    ((-1, False), (-1, 0)),  # a bool is not an int here either
+])
+def test_checked_constructor_takes_only_int_parents_and_edge_ids(parents,
+                                                                 edges):
+    with pytest.raises(ValueError, match="int parents and int edge ids"):
+        PlaneTree(((2, 1), parents, edges))
+
+
 def test_tags_survive_round_trip():
     tree = parse_tree(FIG_TAGGED)
     assert tree.is_tagged
