@@ -138,16 +138,12 @@ def _verify_thm2(order: int, force: bool) -> int:
     return 0 if report.passed else 1
 
 
-def _verify_counts(ns_labeled, ns_increasing, force: bool,
-                   from_table: bool) -> int:
+def _verify_counts(ns_labeled, ns_increasing, force: bool) -> int:
+    from .polynomials import edge_status_polynomial, root_degree_polynomial
+
     failures = 0
     for n in ns_labeled:
-        _require_bound(n, MAX_LABELED_EDGES, force, "labeled trees")
-        if from_table:  # verify all: the labelings thm1's subset sums count
-            from .polynomials import _enumerated_table
-            seen = _enumerated_table(n, force=force)[0].eval(1, 1, 1)
-        else:
-            seen = sum(1 for _ in _labelings(n, False))
+        seen = edge_status_polynomial(n, force=force).eval(1, 1, 1)
         lhs = family_count(n).labeled  # (n+1)! C_n
         rhs = 2 ** n * odd_double_factorial(n)
         ok = seen == lhs == rhs
@@ -155,8 +151,7 @@ def _verify_counts(ns_labeled, ns_increasing, force: bool,
               f"{seen} = {lhs} = {rhs}")
         failures += 0 if ok else 1
     for n in ns_increasing:
-        _require_bound(n, MAX_INCREASING_EDGES, force, "increasing trees")
-        seen = sum(1 for _ in _increasing_kids(n))
+        seen = root_degree_polynomial(n, force=force).eval(1, 1, 1)
         expect = family_count(n).increasing
         ok = seen == expect
         print(f"counts I n={n} {'PASS' if ok else 'FAIL'} {seen} = {expect}")
@@ -171,8 +166,7 @@ def _cmd_verify(args) -> int:
     if args.target in ("counts", "all"):
         ns_increasing = (range(MAX_INCREASING_EDGES + 1) if args.n is None
                          else ns)
-        failures += _verify_counts(ns, ns_increasing, args.force,
-                                   from_table=args.target == "all")
+        failures += _verify_counts(ns, ns_increasing, args.force)
     if args.target in ("thm1", "all"):
         failures += _verify_thm1(ns, args.force, show_polys=args.n is not None)
     if args.target in ("thm2", "all"):

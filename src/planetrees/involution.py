@@ -105,7 +105,7 @@ def _flip_in_order(tree: PlaneTree, positions: list[int],
 
 def flip_edge(tree: PlaneTree, edge: EdgeRef) -> PlaneTree:
     """Apply the involution at one edge; a new tree, input untouched."""
-    if edge not in tree.edges[1:]:
+    if type(edge) is not int or edge not in tree.edges[1:]:
         raise ValueError(f"no edge with id {edge}")
     return _flip_in_order(tree, [tree.edges.index(edge, 1)], tree.tags)
 

@@ -19,8 +19,8 @@ the vertices labeled so far and on the one it goes to, so 2^(n+1) sets
 stand in for the (n+1)! labelings.  The sum for the empty set is the
 labeled histogram and the sum for the root alone the root-1 one; P_n at
 x = y = 1 counts the labelings summed.  The root-degree sum reads the
-root's child list at each leaf of the increasing-tree walk; each n runs
-once per process.
+root's child list at each leaf of the increasing-tree walk.  Each n's
+subset sums and each n's walk run once per process.
 
 Closed forms.  The first sum collapses to (2n-1)!! (x+y)^n and the second
 to sum_r S[n,r] t^r (x+y)^(n-r), where S[n,r] counts increasing trees with
@@ -59,6 +59,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
+from functools import cache
+from operator import itemgetter
 from typing import NamedTuple
 
 from .families import (
@@ -254,45 +256,42 @@ def _shape_histograms(parents):
 def edge_status_polynomial(n: int, *, force: bool = False) -> Polynomial:
     """Sum of x^impr y^prop over all labeled plane trees with n edges."""
     _require_bound(n, MAX_LABELED_EDGES, force, "labeled trees")
-    return _enumerated_table(n, force=force)[0]
+    return _edge_status_sums(n)[0]
 
 
 def rooted_edge_status_polynomial(n: int, *,
                                   force: bool = False) -> Polynomial:
     """Sum of x^impr y^(prop-d) t^d over root-1 trees, d the root degree."""
     _require_bound(n, MAX_LABELED_EDGES, force, "root-1 trees")
-    return _enumerated_table(n, force=force)[1]
+    return _edge_status_sums(n)[1]
 
 
 def root_degree_polynomial(n: int, *, force: bool = False) -> Polynomial:
     """Sum of t^(root degree) over all increasing plane trees with n edges."""
     _require_bound(n, MAX_INCREASING_EDGES, force, "increasing trees")
-    degrees = Counter(len(kids[0]) for kids in _increasing_kids(n))
+    return _root_degree_sum(n)
+
+
+@cache
+def _edge_status_sums(n: int) -> tuple[Polynomial, Polynomial]:
+    """(P_n, O_n) from every shape's subset sums, once per n per process."""
+    labeled = [0] * (n + 1)
+    rooted: dict = defaultdict(int)
+    for shape in plane_shapes(n):
+        deg, hist, root_first = _shape_histograms(shape)
+        for a, cnt in enumerate(hist):
+            labeled[a] += cnt
+            rooted[(a, n - a - deg, deg)] += root_first[a]
+    return (Polynomial({(a, n - a, 0): c for a, c in enumerate(labeled)}),
+            Polynomial(rooted))
+
+
+@cache
+def _root_degree_sum(n: int) -> Polynomial:
+    """S_n from the root's child list at each leaf of the increasing-tree
+    walk, once per n per process."""
+    degrees = Counter(map(len, map(itemgetter(0), _increasing_kids(n))))
     return Polynomial({(0, 0, r): c for r, c in degrees.items()})
-
-
-# enumerated (P_n, O_n, S_n) by n, filled once per process
-_ENUMERATED: dict[int, tuple[Polynomial, Polynomial, Polynomial]] = {}
-
-
-def _enumerated_table(n: int, *, force: bool = False):
-    """(P_n, O_n, S_n) by enumeration, computed once per process; the bound
-    is checked on every call."""
-    _require_bound(n, MAX_LABELED_EDGES, force, "labeled trees")
-    table = _ENUMERATED.get(n)
-    if table is None:
-        labeled = [0] * (n + 1)
-        rooted: dict = defaultdict(int)
-        for shape in plane_shapes(n):
-            deg, hist, root_first = _shape_histograms(shape)
-            for a, cnt in enumerate(hist):
-                labeled[a] += cnt
-                rooted[(a, n - a - deg, deg)] += root_first[a]
-        table = (Polynomial({(a, n - a, 0): c for a, c in enumerate(labeled)}),
-                 Polynomial(rooted),
-                 root_degree_polynomial(n, force=force))
-        _ENUMERATED[n] = table
-    return table
 
 
 # ---- closed forms ----
@@ -350,7 +349,9 @@ def verify_closed_forms(n: int, *, force: bool = False) -> ClosedFormReport:
     enumerated increasing-tree polynomial, keeping the two routes
     independent.
     """
-    labeled, rooted, degrees = _enumerated_table(n, force=force)
+    labeled = edge_status_polynomial(n, force=force)
+    rooted = rooted_edge_status_polynomial(n, force=force)
+    degrees = root_degree_polynomial(n, force=force)
     expected_rooted = _rooted_from_degrees(
         n, {r: c for (_, _, r), c in degrees.coeffs.items()})
     return ClosedFormReport(
@@ -376,7 +377,9 @@ class EgfReport(NamedTuple):
 
 def _coefficient_table(n: int, source: str):
     if source == "enumerated" or (source == "auto" and n <= MAX_LABELED_EDGES):
-        return _enumerated_table(n)
+        return (edge_status_polynomial(n),
+                rooted_edge_status_polynomial(n),
+                root_degree_polynomial(n))
     return (edge_status_closed_form(n),
             rooted_closed_form(n),
             root_degree_closed_form(n))

@@ -334,7 +334,7 @@ def _improper_flags(tree: PlaneTree) -> list[bool]:
 def classify_edge(tree: PlaneTree, edge: EdgeRef) -> EdgeStatus:
     """Status of one edge; classifies the whole tree, so O(n) per call."""
     edges = tree.edges
-    if edge not in edges[1:]:
+    if type(edge) is not int or edge not in edges[1:]:  # True == 1, 0.0 == 0
         raise ValueError(f"no edge with id {edge}")
     improper = _improper_flags(tree)[edges.index(edge, 1)]
     return EdgeStatus.IMPROPER if improper else EdgeStatus.PROPER

@@ -25,3 +25,18 @@ def fig_labeled():
 @pytest.fixture
 def fig_increasing():
     return FIG_INCREASING
+
+
+@pytest.fixture
+def cold_memos():
+    """Empty the per-n memos of the enumerated statistics before and after
+    the test: its sums are computed in it, and whatever it leaves there (a
+    patched kernel's sums too) never reaches a later test."""
+    from planetrees import polynomials
+
+    memos = (polynomials._edge_status_sums, polynomials._root_degree_sum)
+    for memo in memos:
+        memo.cache_clear()
+    yield
+    for memo in memos:
+        memo.cache_clear()

@@ -266,7 +266,8 @@ def test_verify_all_default_sweep_matches_golden(capsys):
     assert out == golden.read_text()
 
 
-def test_verify_all_counts_the_labelings_it_visits(capsys, monkeypatch):
+def test_verify_all_counts_the_labelings_it_visits(capsys, monkeypatch,
+                                                   cold_memos):
     # a kernel that drops one labeling from the labeled histogram of each
     # n = 6 shape: the counts line reports the labelings the histograms
     # count, not the family's size
@@ -281,7 +282,6 @@ def test_verify_all_counts_the_labelings_it_visits(capsys, monkeypatch):
         return deg, labeled, root_first
 
     monkeypatch.setattr(polynomials, "_shape_histograms", short)
-    monkeypatch.setattr(polynomials, "_ENUMERATED", {})
     code, out, _ = run(capsys, "verify", "all")
     assert code == 1
     golden = Path(__file__).with_name("golden") / "verify_all.txt"
@@ -294,12 +294,36 @@ def test_verify_all_counts_the_labelings_it_visits(capsys, monkeypatch):
                    .replace("thm2 P order=10 PASS", "thm2 P order=10 FAIL"))
 
 
-def test_verify_thm1_forced_past_the_bound(capsys, monkeypatch):
-    # n = 7 is one past the enumeration bound; the subset sum takes it in
-    # well under a second
+def test_verify_all_counts_the_increasing_trees_it_walks(capsys, monkeypatch,
+                                                         cold_memos):
+    # a walk that drops the first increasing tree at n = 7: the counts line
+    # reports the trees the walk visits, and each n is walked once
     from planetrees import polynomials
 
-    monkeypatch.setattr(polynomials, "_ENUMERATED", {})
+    walk = polynomials._increasing_kids
+    walked = []
+
+    def short(n):
+        walked.append(n)
+        kids = walk(n)
+        if n == 7:
+            next(kids)
+        return kids
+
+    monkeypatch.setattr(polynomials, "_increasing_kids", short)
+    code, out, _ = run(capsys, "verify", "all")
+    assert code == 1
+    golden = Path(__file__).with_name("golden") / "verify_all.txt"
+    # S_7 is read by the counts line only: thm1 stops at n = 6 and thm2
+    # takes its coefficients past n = 6 from the closed forms
+    assert out == golden.read_text().replace(
+        "counts I n=7 PASS 135135 =", "counts I n=7 FAIL 135134 =")
+    assert walked == list(range(8))
+
+
+def test_verify_thm1_forced_past_the_bound(capsys, cold_memos):
+    # n = 7 is one past the enumeration bound; the subset sum takes it in
+    # well under a second
     code, out, _ = run(capsys, "verify", "thm1", "--n", "7", "--force")
     assert code == 0
     lines = out.splitlines()
@@ -308,6 +332,14 @@ def test_verify_thm1_forced_past_the_bound(capsys, monkeypatch):
     assert ("P_7 = 135135x^7 + 945945x^6y + 2837835x^5y^2 + 4729725x^4y^3"
             " + 4729725x^3y^4 + 2837835x^2y^5 + 945945xy^6 + 135135y^7"
             ) in lines
+
+
+def test_verify_counts_forced_past_the_bound(capsys, cold_memos):
+    # the counts read the same sums as thm1, so n = 7 costs what thm1 costs
+    code, out, _ = run(capsys, "verify", "counts", "--n", "7", "--force")
+    assert code == 0
+    assert out == ("counts P n=7 PASS 17297280 = 17297280 = 17297280\n"
+                   "counts I n=7 PASS 135135 = 135135\n")
 
 
 def test_verify_bound_without_force(capsys):
@@ -336,18 +368,16 @@ def test_verify_force_overrides_order_bound(capsys):
     assert out.count("PASS") == 3
 
 
-def test_verify_runs_in_one_process(capsys, monkeypatch):
+def test_verify_runs_in_one_process(capsys, monkeypatch, cold_memos):
     # the exhaustive sums run serially in this process: no worker pool is
     # started, and there is no option to ask for one
     import concurrent.futures
-    from planetrees import polynomials
 
     def refuse(*args, **kwargs):
         raise RuntimeError("verify started a process pool")
 
+    # with the memos cold, both sums are computed in this run
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
-    # no memoized table, so that both sums are computed in this run
-    monkeypatch.setattr(polynomials, "_ENUMERATED", {})
     code, out, _ = run(capsys, "verify", "thm1", "--n", "4")
     assert code == 0 and out.endswith("thm1 n=4 PASS\n")
     with pytest.raises(SystemExit) as exc:

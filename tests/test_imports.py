@@ -97,17 +97,17 @@ def test_verify_loads_the_polynomial_layer():
     assert (loaded - bare) & HEAVY == set()
 
 
-def test_verify_counts_alone_loads_no_verify_module():
-    # counts on its own counts the cheap kernel's visits; only verify all
-    # reads them from the polynomial tables
+def test_verify_counts_loads_no_heavy_module():
+    # counts reads the statistics thm1 checks from the polynomial layer,
+    # which needs none of the heavy modules
     _, _, bare = imports("-c", "pass")
     code, out, loaded = imports("-m", "planetrees", "verify", "counts",
                                 "--n", "3")
     assert code == 0
     assert out == ("counts P n=3 PASS 120 = 120 = 120\n"
                    "counts I n=3 PASS 15 = 15\n")
-    assert "planetrees.cli" in loaded
-    assert (loaded - bare) & VERIFY_ONLY == set()
+    assert "planetrees.polynomials" in loaded
+    assert (loaded - bare) & HEAVY == set()
 
 
 COLD_PACKAGE = """

@@ -273,25 +273,31 @@ def _oracle_sums(n):
     return labeled, rooted
 
 
-def test_enumerated_table_memo_is_transparent(monkeypatch):
-    warm = verify_egf_identities(6, source="enumerated")
-    monkeypatch.setattr(polynomials, "_ENUMERATED", {})
+def test_enumerated_table_memo_is_transparent(cold_memos):
     cold = verify_egf_identities(6, source="enumerated")
+    warm = verify_egf_identities(6, source="enumerated")
     assert cold == warm
+    # one entry per n in each memo, computed once
+    for memo in (polynomials._edge_status_sums, polynomials._root_degree_sum):
+        info = memo.cache_info()
+        assert (info.currsize, info.misses) == (7, 7)
     for n in range(6):
-        labeled, rooted, degrees = polynomials._ENUMERATED[n]
-        assert (labeled, rooted) == _oracle_sums(n)
-        assert degrees == root_degree_polynomial(n)
+        assert polynomials._edge_status_sums(n) == _oracle_sums(n)
+    for n in range(7):
+        assert polynomials._root_degree_sum(n) == root_degree_closed_form(n)
     for n in range(4):
-        assert polynomials._ENUMERATED[n] == (P_TABLE[n], O_TABLE[n],
-                                              S_TABLE[n])
+        assert (edge_status_polynomial(n), rooted_edge_status_polynomial(n),
+                root_degree_polynomial(n)) == (P_TABLE[n], O_TABLE[n],
+                                               S_TABLE[n])
 
 
-def test_rooted_sum_alone_on_a_cold_memo(monkeypatch):
-    # the rooted sum alone runs the subset sums and leaves the whole table
-    monkeypatch.setattr(polynomials, "_ENUMERATED", {})
+def test_rooted_sum_alone_on_a_cold_memo(cold_memos):
+    # the rooted sum alone runs the subset sums, leaves P_5 with O_5 in
+    # their memo and walks no increasing tree
     rooted = rooted_edge_status_polynomial(5)
-    assert rooted == polynomials._ENUMERATED[5][1] == _oracle_sums(5)[1]
+    assert polynomials._edge_status_sums.cache_info().misses == 1
+    assert rooted == polynomials._edge_status_sums(5)[1] == _oracle_sums(5)[1]
+    assert polynomials._root_degree_sum.cache_info().currsize == 0
 
 
 def test_egf_identities_auto_mixes_sources():

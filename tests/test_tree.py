@@ -162,6 +162,16 @@ def test_small_classifications():
         classify_edge(tree, 1)
 
 
+def test_edge_ids_are_plain_ints():
+    # True == 1 and 0.0 == 0, but an edge id is a plain int, as in the
+    # checked constructor
+    tree = parse_tree("1(2,3)")
+    for call, edge in ((flip_edge, True), (flip_edge, 1.0),
+                       (classify_edge, 0.0)):
+        with pytest.raises(ValueError, match=f"no edge with id {edge}$"):
+            call(tree, edge)
+
+
 def test_improper_edges_in_walk_order(fig_labeled):
     tree = parse_tree(fig_labeled)
     assert improper_edges(tree) == [0, 2, 4]
