@@ -10,8 +10,9 @@ Families, for a given number of edges n (labels drawn from 1..n+1):
 Each family is enumerated by a private kernel that visits every object in
 place and builds nothing: ``_labelings`` yields a shape with each labeling,
 ``_increasing_kids`` yields the one mutable set of child lists of a
-backtracking walk at each of its leaves.  Counting and the polynomial sums
-run on the kernels; :func:`labeled_trees`, :func:`root_one_trees` and
+backtracking walk at each of its leaves.  ``enum --count-only`` counts
+on the kernels, and the polynomial sums need only the shapes;
+:func:`labeled_trees`, :func:`root_one_trees` and
 :func:`increasing_trees` are thin wrappers that build one :class:`PlaneTree`
 per visit, streaming, so memory stays proportional to one tree.  A shape is
 the preorder ``parents`` tuple a :class:`PlaneTree` stores, so a labeled

@@ -18,9 +18,10 @@ increasing order, the improper edges the next label adds depend only on
 the vertices labeled so far and on the one it goes to, so 2^(n+1) sets
 stand in for the (n+1)! labelings.  The sum for the empty set is the
 labeled histogram and the sum for the root alone the root-1 one; P_n at
-x = y = 1 counts the labelings summed.  The root-degree sum reads the
-root's child list at each leaf of the increasing-tree walk.  Each n's
-subset sums and each n's walk run once per process.
+x = y = 1 counts the labelings summed.  The root-degree sum takes each
+shape's increasing labelings from a like sum over the sets of its vertices
+that hold the root, and weights them by t^(root degree).  Each n's subset
+sums run once per process.
 
 Closed forms.  The first sum collapses to (2n-1)!! (x+y)^n and the second
 to sum_r S[n,r] t^r (x+y)^(n-r), where S[n,r] counts increasing trees with
@@ -58,15 +59,14 @@ fixed variables and evaluation at scalars is all the identities need.
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict
+from collections import defaultdict
 from functools import cache
-from operator import itemgetter
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .families import (
     MAX_INCREASING_EDGES,
     MAX_LABELED_EDGES,
-    _increasing_kids,
     _require_bound,
     odd_double_factorial,
     plane_shapes,
@@ -74,21 +74,25 @@ from .families import (
 
 MAX_SERIES_ORDER = 10
 
-Monomial = tuple[int, int, int]  # exponents of x, y, t
-
 
 class Polynomial:
     """Sparse exact polynomial in x, y and t.
 
-    Terms live in a dict keyed by exponent triples; coefficients are ints,
-    the only scalars arithmetic accepts, and zero coefficients are never
-    stored.  Instances are treated as immutable.
+    Terms live in a read-only mapping keyed by exponent triples;
+    coefficients are ints, the only scalars arithmetic accepts, and zero
+    coefficients are never stored.  Instances are immutable, so a sum the
+    module memoizes is handed out as it is: no caller can change it under
+    the next one.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: dict | None = None):
-        self.coeffs = {k: v for k, v in (coeffs or {}).items() if v}
+        object.__setattr__(self, "coeffs", MappingProxyType(
+            {k: v for k, v in (coeffs or {}).items() if v}))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Polynomial is immutable")
 
     @classmethod
     def constant(cls, value) -> "Polynomial":
@@ -253,6 +257,28 @@ def _shape_histograms(parents):
     return parents.count(0), labeled, root_first
 
 
+def _increasing_labelings(parents):
+    """Increasing labelings of the shape with these preorder parents.
+
+    Labels 1, 2, ... are handed out in increasing order, the root first,
+    each to an unlabeled vertex w whose parent has one.  h[S], for the sets
+    S that hold the root (the odd ones), counts the orders in which the
+    labels reach S and adds to h[S + w]; h[all] is the count.  A set never
+    reached keeps h = 0 and is skipped.
+    """
+    full = (1 << len(parents)) - 1
+    moves = [(1 << w, 1 << parents[w]) for w in range(1, len(parents))]
+    h = [0] * (full + 1)
+    h[1] = 1
+    for s in range(1, full, 2):
+        ways = h[s]
+        if ways:
+            for bit, parent in moves:
+                if s & parent and not s & bit:
+                    h[s | bit] += ways
+    return h[full]
+
+
 def edge_status_polynomial(n: int, *, force: bool = False) -> Polynomial:
     """Sum of x^impr y^prop over all labeled plane trees with n edges."""
     _require_bound(n, MAX_LABELED_EDGES, force, "labeled trees")
@@ -288,9 +314,11 @@ def _edge_status_sums(n: int) -> tuple[Polynomial, Polynomial]:
 
 @cache
 def _root_degree_sum(n: int) -> Polynomial:
-    """S_n from the root's child list at each leaf of the increasing-tree
-    walk, once per n per process."""
-    degrees = Counter(map(len, map(itemgetter(0), _increasing_kids(n))))
+    """S_n as each shape's increasing labelings, from their subset sum,
+    times t^(root degree), once per n per process."""
+    degrees: dict = defaultdict(int)
+    for shape in plane_shapes(n):
+        degrees[shape.count(0)] += _increasing_labelings(shape)
     return Polynomial({(0, 0, r): c for r, c in degrees.items()})
 
 

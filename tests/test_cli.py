@@ -2,10 +2,12 @@
 pipe compatibility."""
 
 import io
+import math
 import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -294,23 +296,23 @@ def test_verify_all_counts_the_labelings_it_visits(capsys, monkeypatch,
                    .replace("thm2 P order=10 PASS", "thm2 P order=10 FAIL"))
 
 
-def test_verify_all_counts_the_increasing_trees_it_walks(capsys, monkeypatch,
-                                                         cold_memos):
-    # a walk that drops the first increasing tree at n = 7: the counts line
-    # reports the trees the walk visits, and each n is walked once
+def test_verify_all_counts_the_increasing_labelings_it_sums(capsys,
+                                                           monkeypatch,
+                                                           cold_memos):
+    # a kernel that drops the one labeling of the 7-edge path: the
+    # counts line reports the labelings the kernel counts, and each n's
+    # shapes are summed once
     from planetrees import polynomials
 
-    walk = polynomials._increasing_kids
-    walked = []
+    kernel = polynomials._increasing_labelings
+    seen = Counter()
 
-    def short(n):
-        walked.append(n)
-        kids = walk(n)
-        if n == 7:
-            next(kids)
-        return kids
+    def short(parents):
+        seen[len(parents) - 1] += 1
+        count = kernel(parents)
+        return count - 1 if parents == (-1,) + tuple(range(7)) else count
 
-    monkeypatch.setattr(polynomials, "_increasing_kids", short)
+    monkeypatch.setattr(polynomials, "_increasing_labelings", short)
     code, out, _ = run(capsys, "verify", "all")
     assert code == 1
     golden = Path(__file__).with_name("golden") / "verify_all.txt"
@@ -318,7 +320,25 @@ def test_verify_all_counts_the_increasing_trees_it_walks(capsys, monkeypatch,
     # takes its coefficients past n = 6 from the closed forms
     assert out == golden.read_text().replace(
         "counts I n=7 PASS 135135 =", "counts I n=7 FAIL 135134 =")
-    assert walked == list(range(8))
+    # one kernel call per shape: C_n shapes for each n <= 7
+    assert seen == {n: math.comb(2 * n, n) // (n + 1) for n in range(8)}
+
+
+def test_verify_all_walks_no_increasing_tree(capsys, monkeypatch,
+                                             cold_memos):
+    # the root-degree sums come from the shapes' subset sums: the
+    # increasing-tree walk is never started
+    from planetrees import cli, families
+
+    def refuse(n):
+        raise RuntimeError("verify walked the increasing trees")
+
+    monkeypatch.setattr(families, "_increasing_kids", refuse)
+    monkeypatch.setattr(cli, "_increasing_kids", refuse)
+    code, out, _ = run(capsys, "verify", "all")
+    assert code == 0
+    golden = Path(__file__).with_name("golden") / "verify_all.txt"
+    assert out == golden.read_text()
 
 
 def test_verify_thm1_forced_past_the_bound(capsys, cold_memos):

@@ -16,12 +16,14 @@ finding a parent by walking its sibling list to one fixed end is quadratic.
 The enumeration kernels must visit what the old loops built, in the same
 order, and the subset-sum histogram must count what recomputing every
 labeling in full counted, and, on shapes past the oracle's reach, what the
-per-shape hook product gives.  The integer check of the generating-function
-identities must flag exactly what multiplying out the truncated series
-flagged, on the true tables and on tables with one coefficient bumped;
-sympy's own series expansion, when sympy is installed, must agree.  The
-single Stirling stack walk must accept, reject and decode exactly what the
-multiplicity check, the second blocks walk and the bracket frames did.
+per-shape hook product gives; each shape's count of increasing labelings
+must be what the hook-length formula gives.  The integer check of the
+generating-function identities must flag exactly what multiplying out the
+truncated series flagged, on the true tables and on tables with one
+coefficient bumped; sympy's own series expansion, when sympy is installed,
+must agree.  The single Stirling stack walk must accept, reject and decode
+exactly what the multiplicity check, the second blocks walk and the bracket
+frames did.
 """
 
 import math
@@ -52,6 +54,7 @@ from planetrees import (
     labeled_trees,
     parse_tree,
     render_tree,
+    root_degree_closed_form,
     root_degree_counts,
     root_degree_polynomial,
     root_one_trees,
@@ -71,7 +74,7 @@ from planetrees.families import (
 )
 from planetrees.involution import _flip_in_order
 from planetrees.polynomials import _coefficient_table, _egf_holds
-from planetrees.polynomials import _shape_histograms
+from planetrees.polynomials import _increasing_labelings, _shape_histograms
 
 
 def test_flip_matches_oracle_exhaustive():
@@ -339,6 +342,30 @@ def test_histogram_matches_oracle_and_hook_product_at_n7(shape):
     assert root_first == _hook_histogram(shape, True)
 
 
+def _hook_length_count(parents):
+    """Increasing labelings of a shape by the hook-length formula:
+    (n+1)! over the product of its subtree sizes."""
+    size = [1] * len(parents)
+    for v in range(len(parents) - 1, 0, -1):
+        size[parents[v]] += size[v]
+    return math.factorial(len(parents)) // math.prod(size)
+
+
+def test_increasing_labelings_match_hook_length_count():
+    # every shape with n <= 7, then 10 shapes of 9 to 12 vertices: up to
+    # 2^11 sets that hold the root, and counts up to about 5 million
+    rng = random.Random(3107)
+    shapes = [shape for n in range(8) for shape in plane_shapes(n)]
+    shapes += [_random_shape(rng.randint(9, 12), rng) for _ in range(10)]
+    for shape in shapes:
+        assert _increasing_labelings(shape) == _hook_length_count(shape)
+
+
+def test_root_degree_sum_past_the_bound_matches_closed_form(cold_memos):
+    # n = 8 is one past the enumeration bound: 1,430 shapes, 2,027,025 trees
+    assert root_degree_polynomial(8, force=True) == root_degree_closed_form(8)
+
+
 def test_labelings_kernel_matches_oracle_stream():
     # equal streams have equal lengths, so this also pins the kernel's visit
     # count to the old loops'
@@ -356,12 +383,12 @@ def test_labeled_wrappers_match_oracle_sequences():
 
 
 def test_increasing_kernel_matches_oracle_lengths_and_root_degrees():
-    # one pass over the oracle trees per n gives both the sequence length
-    # and the root-degree Counter
+    # one pass over the oracle trees per n gives the root-degree Counter;
+    # the walk enum I prints from and the shapes' subset sums must give it
     for n in range(8):
         degrees = Counter(len(root.children)
                           for root in oracle.node_increasing_trees(n))
-        assert sum(1 for _ in _increasing_kids(n)) == sum(degrees.values())
+        assert Counter(len(kids[0]) for kids in _increasing_kids(n)) == degrees
         assert root_degree_polynomial(n) == Polynomial(
             {(0, 0, r): c for r, c in degrees.items()})
 

@@ -292,12 +292,35 @@ def test_enumerated_table_memo_is_transparent(cold_memos):
 
 
 def test_rooted_sum_alone_on_a_cold_memo(cold_memos):
-    # the rooted sum alone runs the subset sums, leaves P_5 with O_5 in
-    # their memo and walks no increasing tree
+    # the rooted sum alone runs the edge-status subset sums, leaves P_5
+    # with O_5 in their memo and computes no root-degree sum
     rooted = rooted_edge_status_polynomial(5)
     assert polynomials._edge_status_sums.cache_info().misses == 1
     assert rooted == polynomials._edge_status_sums(5)[1] == _oracle_sums(5)[1]
     assert polynomials._root_degree_sum.cache_info().currsize == 0
+
+
+def test_memoized_sums_cannot_be_changed_by_a_caller(cold_memos):
+    # the public sums hand out the memo's own Polynomial: every attempt to
+    # change a returned sum raises, and the next read is still the closed
+    # form
+    sums = (edge_status_polynomial(3), rooted_edge_status_polynomial(3),
+            root_degree_polynomial(3))
+    for poly in sums + (X, T):
+        key = next(iter(poly.coeffs))
+        with pytest.raises(TypeError):
+            poly.coeffs[key] += 1
+        with pytest.raises(TypeError):
+            poly.coeffs[(9, 9, 9)] = 1
+        with pytest.raises(AttributeError):
+            poly.coeffs.clear()
+        with pytest.raises(AttributeError):
+            poly.coeffs = {}
+    assert root_degree_polynomial(3) == root_degree_closed_form(3)
+    assert edge_status_polynomial(3) == edge_status_closed_form(3)
+    assert rooted_edge_status_polynomial(3) == rooted_closed_form(3)
+    assert verify_closed_forms(3).passed
+    assert X + T == Polynomial({(1, 0, 0): 1, (0, 0, 1): 1})
 
 
 def test_egf_identities_auto_mixes_sources():
