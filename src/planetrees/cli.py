@@ -6,6 +6,10 @@ is expected, "-" reads standard input instead and processes every
 nonempty line, so ``enum`` output pipes straight into ``classify``,
 ``bij`` or ``stirling``.  All stdout is deterministic for a fixed argv
 (and seed); timing goes to stderr.
+
+Each stage of a pipe is a fresh interpreter, so a handler imports the
+modules only its command runs; only ``tree``, which every command uses, is
+imported here.
 """
 
 from __future__ import annotations
@@ -15,29 +19,6 @@ import sys
 import time
 from typing import Iterator
 
-from .families import (
-    MAX_INCREASING_EDGES,
-    MAX_LABELED_EDGES,
-    _increasing_kids,
-    _labelings,
-    _require_bound,
-    family_count,
-    increasing_trees,
-    labeled_trees,
-    odd_double_factorial,
-    root_one_trees,
-    sample_increasing_trees,
-    sample_labeled_trees,
-)
-from .involution import flip_edge, from_increasing, to_increasing
-from .stirling import (
-    blocks,
-    format_permutation,
-    parse_permutation,
-    stirling_permutations,
-    stirling_to_tree,
-    tree_to_stirling,
-)
 from .tree import (
     EdgeStatus,
     _improper_flags,
@@ -74,14 +55,19 @@ def _cmd_classify(args) -> int:
     for line in _operand_lines(args.tree):
         tree = parse_tree(line)
         improper = _improper_flags(tree)
-        for (_, parent, child), flag in zip(edge_list(tree), improper[1:]):
-            print(f"({parent},{child}): {names[flag]}")
         count = sum(improper)
-        print(f"impr={count} prop={tree.edge_count - count}")
+        edges = zip(edge_list(tree), improper[1:])
+        record = [f"({parent},{child}): {names[flag]}\n"
+                  for (_, parent, child), flag in edges]
+        record.append(f"impr={count} prop={tree.edge_count - count}\n")
+        # one write per tree: on an unbuffered stdout each print is two writes
+        sys.stdout.write("".join(record))
     return 0
 
 
 def _cmd_phi(args) -> int:
+    from .involution import flip_edge
+
     parent, child = _parse_edge_arg(args.edge)
     for line in _operand_lines(args.tree):
         tree = parse_tree(line)
@@ -90,6 +76,8 @@ def _cmd_phi(args) -> int:
 
 
 def _cmd_bij(args) -> int:
+    from .involution import from_increasing, to_increasing
+
     for line in _operand_lines(args.tree):
         tree = parse_tree(line)
         if args.direction == "forward":
@@ -101,6 +89,9 @@ def _cmd_bij(args) -> int:
 
 
 def _cmd_stirling(args) -> int:
+    from .stirling import (blocks, format_permutation, parse_permutation,
+                           stirling_to_tree, tree_to_stirling)
+
     for line in _operand_lines(args.input):
         if args.direction == "to":
             print(format_permutation(tree_to_stirling(parse_tree(line))))
@@ -114,7 +105,6 @@ def _cmd_stirling(args) -> int:
 
 
 def _verify_thm1(ns, force: bool, show_polys: bool) -> int:
-    # read at call time: the pipe commands never load polynomials
     from .polynomials import verify_closed_forms
 
     failures = 0
@@ -139,6 +129,7 @@ def _verify_thm2(order: int, force: bool) -> int:
 
 
 def _verify_counts(ns_labeled, ns_increasing, force: bool) -> int:
+    from .families import family_count, odd_double_factorial
     from .polynomials import edge_status_polynomial, root_degree_polynomial
 
     failures = 0
@@ -160,6 +151,8 @@ def _verify_counts(ns_labeled, ns_increasing, force: bool) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .families import MAX_INCREASING_EDGES, MAX_LABELED_EDGES
+
     failures = 0
     started = time.perf_counter()
     ns = range(MAX_LABELED_EDGES + 1) if args.n is None else [args.n]
@@ -177,6 +170,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_enum(args) -> int:
+    from .families import (MAX_INCREASING_EDGES, MAX_LABELED_EDGES,
+                           _increasing_kids, _labelings, _require_bound,
+                           increasing_trees, labeled_trees, root_one_trees)
+
     n = args.n
     if args.family in ("P", "O"):
         _require_bound(n, MAX_LABELED_EDGES, args.force, "labeled trees")
@@ -190,6 +187,7 @@ def _cmd_enum(args) -> int:
         items = increasing_trees(n)
         text = render_tree
     else:
+        from .stirling import format_permutation, stirling_permutations
         _require_bound(n, MAX_INCREASING_EDGES, args.force,
                        "Stirling permutations")
         visits = items = stirling_permutations(n)
@@ -204,6 +202,8 @@ def _cmd_enum(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    from .families import sample_increasing_trees, sample_labeled_trees
+
     if args.count < 1:
         raise ValueError("count must be >= 1")
     maker = sample_labeled_trees if args.family == "P" else sample_increasing_trees

@@ -38,8 +38,7 @@ walks the slots in that order by backtracking (insert, descend, remove).
 The sampler draws a slot number with ``rng.randrange(2m-1)`` and descends to
 it by subtree sizes kept up to date on the way down, scanning the children
 of each vertex it passes.  The root degree grows like sqrt(n), so a sample
-is superlinear: the traced benchmark slope is 1.46-1.55 and n = 3*10^4 takes
-0.81 s, 10^5 projected 4.3 s (ROADMAP baseline; CPython 3.11, 2-vCPU VM).
+takes time superlinear in n.
 
 The bounds below are where exhaustive work stops being a desk-scale job;
 the polynomial layer and the command line refuse larger n unless forced,

@@ -38,8 +38,15 @@ PACKAGE_ROOT = Path(planetrees.__file__).resolve().parents[1]
 # modules no command needs: the polynomial layer takes int scalars only and
 # its records are NamedTuples
 HEAVY = {"fractions", "decimal", "dataclasses", "inspect"}
-# what no pipe stage needs: those and the polynomial layer
-VERIFY_ONLY = {"planetrees.polynomials"} | HEAVY
+# the package modules each command loads besides the package, cli and tree
+LAYERS = {
+    "classify": set(),
+    "phi": {"planetrees.involution"},
+    "bij": {"planetrees.involution"},
+    "stirling": {"planetrees.stirling"},
+    "sample": {"planetrees.families"},
+    "verify": {"planetrees.families", "planetrees.polynomials"},
+}
 
 IMPORT_LINE = re.compile(r"^import time:\s+\d+ \|\s+\d+ \|\s+(\S+)$", re.M)
 
@@ -56,6 +63,18 @@ def imports(*args, input=""):
     """Exit code, stdout and the modules a fresh interpreter imported."""
     proc = python("-X", "importtime", *args, input=input)
     return proc.returncode, proc.stdout, set(IMPORT_LINE.findall(proc.stderr))
+
+
+def assert_loads_its_layers_only(argv, loaded, bare):
+    """The package modules a command loaded are the ones its own layers
+    need.  Of the modules the bare interpreter lacks, none is heavy, and
+    ``random`` comes only with the samplers."""
+    package = {m for m in loaded if m.partition(".")[0] == "planetrees"}
+    own = LAYERS[argv[0]]
+    base = {"planetrees", "planetrees.cli", "planetrees.tree"}
+    assert package == base | own, argv
+    unwanted = HEAVY if "planetrees.families" in own else HEAVY | {"random"}
+    assert (loaded - bare) & unwanted == set(), argv
 
 
 def test_pipe_commands_load_no_verify_module():
@@ -84,30 +103,36 @@ def test_pipe_commands_load_no_verify_module():
     for argv, stdin in stages:
         code, out, loaded = imports("-m", "planetrees", *argv, input=stdin)
         assert code == 0 and out, argv
-        assert "planetrees.cli" in loaded, argv
-        assert (loaded - bare) & VERIFY_ONLY == set(), argv
+        assert_loads_its_layers_only(argv, loaded, bare)
 
 
 def test_verify_loads_the_polynomial_layer():
     # the positive control: the same reading sees what verify imports
     _, _, bare = imports("-c", "pass")
-    code, out, loaded = imports("-m", "planetrees", "verify", "thm1", "--n", "1")
+    argv = ["verify", "thm1", "--n", "1"]
+    code, out, loaded = imports("-m", "planetrees", *argv)
     assert code == 0 and out.endswith("thm1 n=1 PASS\n")
-    assert "planetrees.polynomials" in loaded
-    assert (loaded - bare) & HEAVY == set()
+    assert_loads_its_layers_only(argv, loaded, bare)
 
 
 def test_verify_counts_loads_no_heavy_module():
     # counts reads the statistics thm1 checks from the polynomial layer,
     # which needs none of the heavy modules
     _, _, bare = imports("-c", "pass")
-    code, out, loaded = imports("-m", "planetrees", "verify", "counts",
-                                "--n", "3")
+    argv = ["verify", "counts", "--n", "3"]
+    code, out, loaded = imports("-m", "planetrees", *argv)
     assert code == 0
     assert out == ("counts P n=3 PASS 120 = 120 = 120\n"
                    "counts I n=3 PASS 15 = 15\n")
-    assert "planetrees.polynomials" in loaded
-    assert (loaded - bare) & HEAVY == set()
+    assert_loads_its_layers_only(argv, loaded, bare)
+
+
+def test_cli_module_loads_only_the_tree_layer():
+    # every command's other layers load in its handler
+    proc = python("-c", "import sys, planetrees.cli; print(sorted("
+                  "m for m in sys.modules if m.startswith('planetrees.')))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "['planetrees.cli', 'planetrees.tree']\n"
 
 
 COLD_PACKAGE = """

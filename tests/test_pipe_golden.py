@@ -9,6 +9,7 @@ tree core.  The long enumerations are pinned by the sha256 of their stdout.
 
 import hashlib
 import io
+import re
 import sys
 from pathlib import Path
 
@@ -57,6 +58,30 @@ def test_pipe_stdout_matches_golden(chain, capsys, monkeypatch):
     outputs = run_chain(CHAINS[chain], capsys, monkeypatch)
     for name, text in outputs.items():
         assert text == (GOLDEN / f"{name}.txt").read_text(), name
+
+
+def test_classify_writes_each_record_at_once(monkeypatch):
+    # one write per tree, made before the next line is read: on an
+    # unbuffered stdout every write is a system call of its own
+    events = []
+
+    def stdin():
+        for line in (GOLDEN / "bij_inverse.txt").read_text().splitlines(True):
+            events.append("read")
+            yield line
+
+    class Stdout:
+        def write(self, text):
+            events.append(text)
+            return len(text)
+
+    monkeypatch.setattr(sys, "stdin", stdin())
+    monkeypatch.setattr(sys, "stdout", Stdout())
+    assert main(["classify", "-"]) == 0
+    golden = (GOLDEN / "classify.txt").read_text()
+    records = re.findall(r"(?:\(.*\n)*impr=.*\n", golden)
+    assert len(records) == 200 and "".join(records) == golden
+    assert events == [e for record in records for e in ("read", record)]
 
 
 # sha256 of whole families' stdout, too long to store as files; a change in

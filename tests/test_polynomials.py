@@ -157,6 +157,16 @@ def test_symmetry_in_x_and_y():
         assert poly == swapped
 
 
+def test_zero_improper_labelings_are_the_increasing_ones():
+    # if a child subtree of p holds a label below p's, the child whose
+    # subtree holds the smallest such label has an improper edge; so the
+    # edge-status kernel's x^0 entry is the S_n kernel's count
+    for n in range(8):
+        for shape in plane_shapes(n):
+            labeled = polynomials._shape_histograms(shape)[1]
+            assert labeled[0] == polynomials._increasing_labelings(shape)
+
+
 def test_homogeneity():
     for n in range(5):
         assert all(a + b == n for a, b, c in edge_status_polynomial(n).coeffs)
