@@ -17,10 +17,12 @@ _EXPORTS = {
         "parse_tree", "render_tree", "subtree_min", "tree_stats",
     ),
     "involution": ("flip_edge", "from_increasing", "to_increasing"),
-    "families": (
+    "counting": (
         "MAX_INCREASING_EDGES", "MAX_LABELED_EDGES", "FamilyCount",
-        "catalan", "family_count", "increasing_trees", "labeled_trees",
-        "odd_double_factorial", "plane_shapes", "root_one_trees",
+        "catalan", "family_count", "odd_double_factorial", "plane_shapes",
+    ),
+    "families": (
+        "increasing_trees", "labeled_trees", "root_one_trees",
         "sample_increasing_tree", "sample_increasing_trees",
         "sample_labeled_tree", "sample_labeled_trees",
     ),

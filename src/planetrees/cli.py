@@ -7,9 +7,9 @@ nonempty line, so ``enum`` output pipes straight into ``classify``,
 ``bij`` or ``stirling``.  All stdout is deterministic for a fixed argv
 (and seed); timing goes to stderr.
 
-Each stage of a pipe is a fresh interpreter, so a handler imports the
-modules only its command runs; only ``tree``, which every command uses, is
-imported here.
+Each stage of a pipe is a fresh interpreter, so each handler imports the
+modules its command runs and this module imports none: the text commands
+load ``tree``, and ``verify`` counts without it.
 """
 
 from __future__ import annotations
@@ -18,15 +18,6 @@ import argparse
 import sys
 import time
 from typing import Iterator
-
-from .tree import (
-    EdgeStatus,
-    _improper_flags,
-    edge_id,
-    edge_list,
-    parse_tree,
-    render_tree,
-)
 
 
 def _operand_lines(operand: str) -> Iterator[str]:
@@ -51,6 +42,8 @@ def _parse_edge_arg(text: str) -> tuple[int, int]:
 
 
 def _cmd_classify(args) -> int:
+    from .tree import EdgeStatus, _improper_flags, edge_list, parse_tree
+
     names = {True: EdgeStatus.IMPROPER.value, False: EdgeStatus.PROPER.value}
     for line in _operand_lines(args.tree):
         tree = parse_tree(line)
@@ -67,6 +60,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_phi(args) -> int:
     from .involution import flip_edge
+    from .tree import edge_id, parse_tree, render_tree
 
     parent, child = _parse_edge_arg(args.edge)
     for line in _operand_lines(args.tree):
@@ -77,6 +71,7 @@ def _cmd_phi(args) -> int:
 
 def _cmd_bij(args) -> int:
     from .involution import from_increasing, to_increasing
+    from .tree import parse_tree, render_tree
 
     for line in _operand_lines(args.tree):
         tree = parse_tree(line)
@@ -91,6 +86,7 @@ def _cmd_bij(args) -> int:
 def _cmd_stirling(args) -> int:
     from .stirling import (blocks, format_permutation, parse_permutation,
                            stirling_to_tree, tree_to_stirling)
+    from .tree import parse_tree, render_tree
 
     for line in _operand_lines(args.input):
         if args.direction == "to":
@@ -129,7 +125,7 @@ def _verify_thm2(order: int, force: bool) -> int:
 
 
 def _verify_counts(ns_labeled, ns_increasing, force: bool) -> int:
-    from .families import family_count, odd_double_factorial
+    from .counting import family_count, odd_double_factorial
     from .polynomials import edge_status_polynomial, root_degree_polynomial
 
     failures = 0
@@ -151,7 +147,7 @@ def _verify_counts(ns_labeled, ns_increasing, force: bool) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .families import MAX_INCREASING_EDGES, MAX_LABELED_EDGES
+    from .counting import MAX_INCREASING_EDGES, MAX_LABELED_EDGES
 
     failures = 0
     started = time.perf_counter()
@@ -170,9 +166,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_enum(args) -> int:
-    from .families import (MAX_INCREASING_EDGES, MAX_LABELED_EDGES,
-                           _increasing_kids, _labelings, _require_bound,
-                           increasing_trees, labeled_trees, root_one_trees)
+    from .counting import (MAX_INCREASING_EDGES, MAX_LABELED_EDGES,
+                           _require_bound)
+    from .families import (_increasing_kids, _labelings, increasing_trees,
+                           labeled_trees, root_one_trees)
+    from .tree import render_tree
 
     n = args.n
     if args.family in ("P", "O"):
@@ -203,6 +201,7 @@ def _cmd_enum(args) -> int:
 
 def _cmd_sample(args) -> int:
     from .families import sample_increasing_trees, sample_labeled_trees
+    from .tree import render_tree
 
     if args.count < 1:
         raise ValueError("count must be >= 1")

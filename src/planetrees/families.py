@@ -1,11 +1,8 @@
 """Exhaustive enumeration and uniform sampling of the three tree families.
 
-Families, for a given number of edges n (labels drawn from 1..n+1):
-
-* labeled plane trees, counted by (n+1)! C_n = 2^n (2n-1)!!,
-* labeled plane trees whose root is labeled 1, counted by n! C_n,
-* increasing plane trees (every edge goes small to large), counted by
-  (2n-1)!!.
+The families (labeled plane trees, those whose root is labeled 1, and
+increasing plane trees), their sizes, the exhaustive bounds and the shapes
+live in ``counting``, which needs no tree; this module builds the trees.
 
 Each family is enumerated by a private kernel that visits every object in
 place and builds nothing: ``_labelings`` yields a shape with each labeling,
@@ -16,9 +13,10 @@ on the kernels, and the polynomial sums need only the shapes;
 :func:`increasing_trees` are thin wrappers that build one :class:`PlaneTree`
 per visit, streaming, so memory stays proportional to one tree.  A shape is
 the preorder ``parents`` tuple a :class:`PlaneTree` stores, so a labeled
-tree is a shape and a labels tuple as they stand.  Shapes come from the
-first-subtree decomposition (a shape with n edges is a first child's subtree
-with k edges plus a remaining tree with n-1-k edges), labelings are the
+tree is a shape and a labels tuple as they stand.  Shapes come from
+``counting``'s first-subtree decomposition (a shape with n edges is a first
+child's subtree with k edges plus a remaining tree with n-1-k edges),
+labelings are the
 lexicographic permutations assigned to vertices in depth-first order, and
 increasing trees are grown by inserting the next label into each of the 2m+1
 child slots of a tree with m edges.  Removing the largest label is
@@ -39,10 +37,6 @@ The sampler draws a slot number with ``rng.randrange(2m-1)`` and descends to
 it by subtree sizes kept up to date on the way down, scanning the children
 of each vertex it passes.  The root degree grows like sqrt(n), so a sample
 takes time superlinear in n.
-
-The bounds below are where exhaustive work stops being a desk-scale job;
-the polynomial layer and the command line refuse larger n unless forced,
-both through :func:`_require_bound`.
 """
 
 from __future__ import annotations
@@ -50,64 +44,10 @@ from __future__ import annotations
 import math
 import random
 from itertools import islice, permutations
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
+from .counting import plane_shapes
 from .tree import PlaneTree
-
-MAX_LABELED_EDGES = 6      # |labeled family| at 6 is 665,280
-MAX_INCREASING_EDGES = 7   # |increasing family| at 7 is 135,135
-
-
-def catalan(n: int) -> int:
-    return math.comb(2 * n, n) // (n + 1)
-
-
-def odd_double_factorial(n: int) -> int:
-    """Product of the first n odd numbers, 1 * 3 * ... * (2n-1); 1 for n = 0."""
-    out = 1
-    for k in range(3, 2 * n, 2):
-        out *= k
-    return out
-
-
-class FamilyCount(NamedTuple):
-    n: int
-    labeled: int
-    root_one: int
-    increasing: int
-    catalan: int
-
-
-def family_count(n: int) -> FamilyCount:
-    c = catalan(n)
-    return FamilyCount(
-        n=n,
-        labeled=math.factorial(n + 1) * c,
-        root_one=math.factorial(n) * c,
-        increasing=odd_double_factorial(n),
-        catalan=c,
-    )
-
-
-# ---- shapes ----
-
-def plane_shapes(n: int) -> Iterator[tuple[int, ...]]:
-    """All plane tree shapes with n edges, as preorder parents tuples (the
-    ``parents`` of :class:`PlaneTree`; ``(-1,)`` for n = 0)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n == 0:
-        yield (-1,)
-        return
-    for k in range(n):
-        # the first child's subtree sits at positions 1..k+1, and the
-        # remaining tree's other vertices follow it
-        tails = [tuple(p + k + 1 if p else 0 for p in rest[1:])
-                 for rest in plane_shapes(n - 1 - k)]
-        for first in plane_shapes(k):
-            head = (-1, 0) + tuple(p + 1 for p in first[1:])
-            for tail in tails:
-                yield head + tail
 
 
 def build_tree(kids: list[list[int]]) -> PlaneTree:
@@ -133,16 +73,6 @@ def build_tree(kids: list[list[int]]) -> PlaneTree:
 
 
 # ---- exhaustive enumeration ----
-
-def _require_bound(n: int, bound: int, force: bool, what: str) -> None:
-    """Refuse a negative n, and an n past an exhaustive bound unless forced."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n > bound and not force:
-        raise ValueError(
-            f"n={n} exceeds the exhaustive bound {bound} for {what}; "
-            f"force to run anyway (--force)")
-
 
 def _labelings(n: int,
                root_first: bool) -> Iterator[tuple[tuple[int, ...], tuple]]:

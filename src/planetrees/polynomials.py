@@ -11,7 +11,8 @@ t^(root degree).  Summing over a whole family gives, per n:
 * ``rooted_edge_status_polynomial``  over the root-1 trees,
 * ``root_degree_polynomial``   over the increasing trees.
 
-Enumeration.  These sums count every object exactly and build no tree.
+Enumeration.  These sums count every object exactly and build no tree:
+they read the shapes from ``counting`` and never load the tree layer.
 The edge-status sums take each shape's histograms by improper edge count
 from one sum over the sets of its vertices: handing out the labels in
 increasing order, the improper edges the next label adds depend only on
@@ -64,7 +65,7 @@ from functools import cache
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .families import (
+from .counting import (
     MAX_INCREASING_EDGES,
     MAX_LABELED_EDGES,
     _require_bound,
@@ -263,19 +264,28 @@ def _increasing_labelings(parents):
     Labels 1, 2, ... are handed out in increasing order, the root first,
     each to an unlabeled vertex w whose parent has one.  h[S], for the sets
     S that hold the root (the odd ones), counts the orders in which the
-    labels reach S and adds to h[S + w]; h[all] is the count.  A set never
-    reached keeps h = 0 and is skipped.
+    labels reach S and adds to h[S + w]; h[all] is the count.  free[S] holds
+    the vertices S can add, so free[S + w] is free[S] without w and with w's
+    children.  A set never reached keeps h = 0 and is skipped.
     """
     full = (1 << len(parents)) - 1
-    moves = [(1 << w, 1 << parents[w]) for w in range(1, len(parents))]
+    kids = {1 << v: 0 for v in range(len(parents))}  # by vertex bit, as bits
+    for w in range(1, len(parents)):
+        kids[1 << parents[w]] |= 1 << w
     h = [0] * (full + 1)
+    free = [0] * (full + 1)
     h[1] = 1
+    free[1] = kids[1]
     for s in range(1, full, 2):
         ways = h[s]
         if ways:
-            for bit, parent in moves:
-                if s & parent and not s & bit:
-                    h[s | bit] += ways
+            open_ = rest = free[s]
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                t = s | bit
+                h[t] += ways
+                free[t] = open_ ^ bit | kids[bit]
     return h[full]
 
 

@@ -298,16 +298,18 @@ def edge_list(tree: PlaneTree) -> list[tuple[EdgeRef, int, int]]:
 
 
 def edge_id(tree: PlaneTree, parent_label: int, child_label: int) -> EdgeRef:
-    for eid, p, c in edge_list(tree):
-        if p == parent_label and c == child_label:
-            return eid
+    # labels are plain ints: True == 1 and 3.0 == 3 name no vertex
+    if type(parent_label) is int and type(child_label) is int:
+        for eid, p, c in edge_list(tree):
+            if p == parent_label and c == child_label:
+                return eid
     raise ValueError(f"no edge ({parent_label},{child_label})")
 
 
 def subtree_min(tree: PlaneTree, label: int) -> int:
     """Smallest label in the subtree rooted at the given vertex."""
     labels, parents = tree.labels, tree.parents
-    if label not in labels:
+    if type(label) is not int or label not in labels:  # True == 1, 1.0 == 1
         raise ValueError(f"no vertex labeled {label}")
     v = end = labels.index(label)
     # the subtree: v and the run of later positions whose parents lie in it

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
-from planetrees.families import odd_double_factorial, plane_shapes
+from planetrees.counting import odd_double_factorial, plane_shapes
 from planetrees.polynomials import Polynomial, T, X, Y
 from planetrees.tree import (
     EdgeStatus,

@@ -38,14 +38,15 @@ PACKAGE_ROOT = Path(planetrees.__file__).resolve().parents[1]
 # modules no command needs: the polynomial layer takes int scalars only and
 # its records are NamedTuples
 HEAVY = {"fractions", "decimal", "dataclasses", "inspect"}
-# the package modules each command loads besides the package, cli and tree
+# the package modules each command loads besides the package and cli: the
+# text commands load tree, and verify counts without it
 LAYERS = {
-    "classify": set(),
-    "phi": {"planetrees.involution"},
-    "bij": {"planetrees.involution"},
-    "stirling": {"planetrees.stirling"},
-    "sample": {"planetrees.families"},
-    "verify": {"planetrees.families", "planetrees.polynomials"},
+    "classify": {"planetrees.tree"},
+    "phi": {"planetrees.involution", "planetrees.tree"},
+    "bij": {"planetrees.involution", "planetrees.tree"},
+    "stirling": {"planetrees.stirling", "planetrees.tree"},
+    "sample": {"planetrees.counting", "planetrees.families", "planetrees.tree"},
+    "verify": {"planetrees.counting", "planetrees.polynomials"},
 }
 
 IMPORT_LINE = re.compile(r"^import time:\s+\d+ \|\s+\d+ \|\s+(\S+)$", re.M)
@@ -71,7 +72,7 @@ def assert_loads_its_layers_only(argv, loaded, bare):
     ``random`` comes only with the samplers."""
     package = {m for m in loaded if m.partition(".")[0] == "planetrees"}
     own = LAYERS[argv[0]]
-    base = {"planetrees", "planetrees.cli", "planetrees.tree"}
+    base = {"planetrees", "planetrees.cli"}
     assert package == base | own, argv
     unwanted = HEAVY if "planetrees.families" in own else HEAVY | {"random"}
     assert (loaded - bare) & unwanted == set(), argv
@@ -127,12 +128,36 @@ def test_verify_counts_loads_no_heavy_module():
     assert_loads_its_layers_only(argv, loaded, bare)
 
 
-def test_cli_module_loads_only_the_tree_layer():
-    # every command's other layers load in its handler
-    proc = python("-c", "import sys, planetrees.cli; print(sorted("
-                  "m for m in sys.modules if m.startswith('planetrees.')))")
+def test_every_verify_target_loads_no_tree_layer():
+    # every verify target counts from the shapes alone
+    _, _, bare = imports("-c", "pass")
+    for target in ("all", "counts", "thm1", "thm2"):
+        argv = ["verify", target]
+        code, out, loaded = imports("-m", "planetrees", *argv)
+        assert code == 0 and out, argv
+        assert_loads_its_layers_only(argv, loaded, bare)
+
+
+def loaded_by(statement):
+    """The package modules a fresh interpreter holds after the statement,
+    and whether it holds ``random``.  ``-S`` skips ``site``, whose ``.pth``
+    hooks may import ``random`` themselves."""
+    proc = python("-S", "-c", f"import sys; {statement}; print(sorted("
+                  "m for m in sys.modules if m.startswith('planetrees.')), "
+                  "'random' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "['planetrees.cli', 'planetrees.tree']\n"
+    return proc.stdout
+
+
+def test_cli_module_loads_no_other_package_module():
+    # every command's layers, tree too, load in its handler
+    assert loaded_by("import planetrees.cli") == "['planetrees.cli'] False\n"
+
+
+def test_counting_module_loads_no_other_package_module():
+    # the counting layer is stdlib only: no tree and no sampler's random
+    assert (loaded_by("import planetrees.counting")
+            == "['planetrees.counting'] False\n")
 
 
 COLD_PACKAGE = """
@@ -167,7 +192,8 @@ facts = {"modules": [type(planetrees.polynomials).__name__,
                      planetrees.involution.__name__]}
 values = {n: getattr(planetrees, n) for n in planetrees.__all__}
 library = [getattr(planetrees, m) for m in
-           ("tree", "involution", "families", "polynomials", "stirling")]
+           ("tree", "involution", "counting", "families", "polynomials",
+            "stirling")]
 facts["not_home"] = []
 for name, value in values.items():
     holders = [m for m in library if name in vars(m)]

@@ -66,12 +66,8 @@ from planetrees import (
     tree_to_stirling,
     verify_egf_identities,
 )
-from planetrees.families import (
-    _increasing_kids,
-    _labelings,
-    build_tree,
-    plane_shapes,
-)
+from planetrees.counting import plane_shapes
+from planetrees.families import _increasing_kids, _labelings, build_tree
 from planetrees.involution import _flip_in_order
 from planetrees.polynomials import _coefficient_table, _egf_holds
 from planetrees.polynomials import _increasing_labelings, _shape_histograms

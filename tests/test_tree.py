@@ -172,6 +172,19 @@ def test_edge_ids_are_plain_ints():
             call(tree, edge)
 
 
+def test_labels_in_queries_are_plain_ints():
+    # True == 1 and 3.0 == 3, but a label is a plain int, as in the checked
+    # constructor: a query by any other value names no vertex or edge
+    tree = parse_tree("3(1,2(4))")
+    assert subtree_min(tree, 1) == 1 and edge_id(tree, 3, 1) == 0
+    for label in (True, 1.0):
+        with pytest.raises(ValueError, match=f"no vertex labeled {label}$"):
+            subtree_min(tree, label)
+    for parent, child in ((3.0, True), (3.0, 1), (3, True), (3, 1.0)):
+        with pytest.raises(ValueError, match=rf"no edge \({parent},{child}\)$"):
+            edge_id(tree, parent, child)
+
+
 def test_improper_edges_in_walk_order(fig_labeled):
     tree = parse_tree(fig_labeled)
     assert improper_edges(tree) == [0, 2, 4]
