@@ -11,8 +11,8 @@ package (PEP 562), so a CLI command imports only the modules it runs.
 # Every module of the package, with the public names it defines.
 _EXPORTS = {
     "tree": (
-        "EdgeRef", "EdgeStatus", "PlaneTree", "TreeParseError",
-        "TreeStats", "classify_edge", "edge_id", "edge_list",
+        "EdgeStatus", "PlaneTree", "TreeParseError", "TreeStats",
+        "classify_edge", "edge_id", "edge_list",
         "has_canonical_labels", "improper_edges", "is_increasing",
         "parse_tree", "render_tree", "subtree_min", "tree_stats",
     ),

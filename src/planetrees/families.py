@@ -51,11 +51,9 @@ from .tree import PlaneTree
 
 
 def build_tree(kids: list[list[int]]) -> PlaneTree:
-    """A tree from child lists, vertex 0 the root and vertex v labeled v+1.
-    One preorder walk emits the arrays; the edge into the k-th vertex in
-    preorder gets id k-1, the first-descent numbering the parser uses."""
-    count = len(kids)
-    labels = range(1, count + 1)
+    """A fresh tree from child lists, vertex 0 the root and vertex v labeled
+    v+1; one preorder walk emits the arrays."""
+    labels = range(1, len(kids) + 1)
     order: list[int] = []
     parents: list[int] = []
     stack = [0]
@@ -69,7 +67,7 @@ def build_tree(kids: list[list[int]]) -> PlaneTree:
             above.extend([len(order)] * len(here))
         order.append(v)
     return PlaneTree._trusted(tuple(map(labels.__getitem__, order)),
-                              tuple(parents), tuple(range(-1, count - 1)))
+                              tuple(parents))
 
 
 # ---- exhaustive enumeration ----
@@ -95,9 +93,11 @@ def _labelings(n: int,
 
 def _labeled_trees(n: int, root_first: bool) -> Iterator[PlaneTree]:
     # a shape is the tree's parents tuple, and a labeling its labels tuple
-    edges = tuple(range(-1, n))
+    edges = None  # every tree shares the first one's fresh edge ids
     for parents, labels in _labelings(n, root_first):
-        yield PlaneTree._trusted(labels, parents, edges)
+        tree = PlaneTree._trusted(labels, parents, edges)
+        edges = tree.edges
+        yield tree
 
 
 def labeled_trees(n: int) -> Iterator[PlaneTree]:
@@ -204,8 +204,7 @@ def _random_labeled_tree(n: int, rng: random.Random) -> PlaneTree:
     parents = _random_shape_parents(n, rng)
     labels = list(range(1, n + 2))
     rng.shuffle(labels)
-    return PlaneTree._trusted(tuple(labels), tuple(parents),
-                              tuple(range(-1, n)))
+    return PlaneTree._trusted(tuple(labels), tuple(parents))
 
 
 def _random_increasing_tree(n: int, rng: random.Random) -> PlaneTree:

@@ -11,13 +11,14 @@ edges now leave j, e itself now joins j to i, and the B and C edges are
 untouched, as is everything strictly inside A, B and C.  Edge tags travel
 with their ids.
 
-:func:`to_increasing` flips, one after another, the improper edges of its
-input (ids frozen up front, in first-descent order); the result is an
-increasing plane tree on the same label set.  Flipped edges are tagged x,
-all others y; with ``rooted=True`` the edges at vertex 1, which are never
-improper, are tagged t instead.  :func:`from_increasing` inverts this by
-flipping the x-tagged edges of a tagged increasing tree.  The flips involved
-commute, so each map really is a bijection and the two are mutually inverse.
+:func:`to_increasing` flips, one after another in first-descent order, the
+edges of its input that the classifier ``tree._improper_flags`` marks
+improper; the result is an increasing plane tree on the same label set.
+Flipped edges are tagged x, all others y; with ``rooted=True`` the edges at
+vertex 1, which are never improper, are tagged t instead.
+:func:`from_increasing` inverts this by flipping the x-tagged edges of a
+tagged increasing tree.  The flips involved commute, so each map really is
+a bijection and the two are mutually inverse.
 
 A flip at e = (i, j) rewires only e, the edge above i and the edges from i
 to j's left siblings, and in the input's first-descent order all of these
@@ -33,11 +34,12 @@ of rebuilding every ancestor per flip.
 
 from __future__ import annotations
 
+from itertools import compress
+
 from .tree import (
     IMPROPER_TAG,
     PROPER_TAG,
     ROOT_TAG,
-    EdgeRef,
     PlaneTree,
     _improper_flags,
     has_canonical_labels,
@@ -46,7 +48,7 @@ from .tree import (
 
 
 def _flip_in_order(tree: PlaneTree, positions: list[int],
-                   tags: dict[EdgeRef, str] | None) -> PlaneTree:
+                   tags: dict[int, str] | None) -> PlaneTree:
     """Flip the edges into the given input positions, ascending, in place on
     one linked copy of the tree, and return the result tagged ``tags``."""
     count = len(tree.labels)
@@ -103,20 +105,11 @@ def _flip_in_order(tree: PlaneTree, positions: list[int],
                               tuple(map(edge.__getitem__, order)), tags)
 
 
-def flip_edge(tree: PlaneTree, edge: EdgeRef) -> PlaneTree:
+def flip_edge(tree: PlaneTree, edge: int) -> PlaneTree:
     """Apply the involution at one edge; a new tree, input untouched."""
     if type(edge) is not int or edge not in tree.edges[1:]:
         raise ValueError(f"no edge with id {edge}")
     return _flip_in_order(tree, [tree.edges.index(edge, 1)], tree.tags)
-
-
-def _flip_x_edges(tree: PlaneTree, tags: dict[EdgeRef, str],
-                  out_tags: dict[EdgeRef, str] | None) -> PlaneTree:
-    # both directions flip the x-tagged edges in first-descent order, which
-    # is the input's preorder of their child ends
-    edges = tree.edges
-    return _flip_in_order(tree, [j for j in range(1, len(edges))
-                                 if tags[edges[j]] == IMPROPER_TAG], out_tags)
 
 
 def to_increasing(tree: PlaneTree, rooted: bool = False) -> PlaneTree:
@@ -133,14 +126,14 @@ def to_increasing(tree: PlaneTree, rooted: bool = False) -> PlaneTree:
     if rooted and tree.labels[0] != 1:
         raise ValueError("rooted mode requires root label 1")
 
+    flags = _improper_flags(tree)
     # in rooted mode vertex 1 is the root, and no edge at it is improper
     at_root = ROOT_TAG if rooted else PROPER_TAG
     tags = {eid: IMPROPER_TAG if improper else at_root if p == 0 else PROPER_TAG
-            for eid, improper, p in zip(tree.edges[1:],
-                                        _improper_flags(tree)[1:],
+            for eid, improper, p in zip(tree.edges[1:], flags[1:],
                                         tree.parents[1:])}
 
-    out = _flip_x_edges(tree, tags, tags)
+    out = _flip_in_order(tree, list(compress(range(len(flags)), flags)), tags)
     if not is_increasing(out):
         raise RuntimeError("flipping the improper edges left a decreasing edge")
     return out
@@ -165,4 +158,6 @@ def from_increasing(tree: PlaneTree) -> PlaneTree:
                                if p == 0}:
         raise ValueError("tag t must be on every edge at the root "
                          "and nowhere else")
-    return _flip_x_edges(tree, tags, None)
+    # the x-tagged edges by child end: first-descent order
+    return _flip_in_order(tree, [j for j, eid in enumerate(tree.edges[1:], 1)
+                                 if tags[eid] == IMPROPER_TAG], None)

@@ -99,10 +99,6 @@ class Polynomial:
     def constant(cls, value) -> "Polynomial":
         return cls({(0, 0, 0): value})
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __add__(self, other):
         other = _coerce(other)
         if other is NotImplemented:

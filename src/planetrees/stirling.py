@@ -131,8 +131,7 @@ def stirling_to_tree(seq: Sequence[int]) -> PlaneTree:
     """Inverse walk: first copy of v opens a child labeled v+1 under the
     current vertex, second copy closes it."""
     labels, parents = _checked_arrays(seq)
-    return PlaneTree._trusted(tuple(labels), tuple(parents),
-                              tuple(range(-1, len(labels) - 1)))
+    return PlaneTree._trusted(tuple(labels), tuple(parents))
 
 
 def stirling_permutations(n: int):
@@ -143,10 +142,21 @@ def stirling_permutations(n: int):
     if n == 0:
         yield ()
         return
-    for smaller in stirling_permutations(n - 1):
-        pair = (n, n)
-        for gap in range(len(smaller) + 1):
-            yield smaller[:gap] + pair + smaller[gap:]
+    pair = (n, n)
+    # one frame per order m = len(stack): a word of order m-1 and the next
+    # gap to put m m in; the last order's gaps are walked in one loop
+    stack = [[(), 0]]
+    while stack:
+        word, gap = stack[-1]
+        m = len(stack)
+        if m < n and gap <= len(word):
+            stack[-1][1] = gap + 1
+            stack.append([word[:gap] + (m, m) + word[gap:], 0])
+            continue
+        stack.pop()
+        if m == n:
+            for gap in range(2 * n - 1):
+                yield word[:gap] + pair + word[gap:]
 
 
 def block_table(n: int) -> Counter:

@@ -2,9 +2,9 @@
 
 A plane tree is a rooted tree whose children are linearly ordered.  Vertices
 carry distinct positive integer labels.  Every edge owns a persistent integer
-id (an ``EdgeRef``) that survives the rewiring done in :mod:`.involution`;
-the parser and the enumerators assign ids in first-descent depth-first order,
-i.e. in the order the edges are first walked when descending from the root.
+id that survives the rewiring done in :mod:`.involution`; a fresh tree
+(``PlaneTree._trusted``) numbers its edges in first-descent depth-first
+order, i.e. in the order the edges are first walked from the root.
 
 A :class:`PlaneTree` is three immutable tuples of ints indexed by preorder
 position, plus the tags: ``labels``, ``parents`` (the position of each
@@ -28,7 +28,7 @@ is one loop in reverse preorder (``_improper_flags``), which meets each
 vertex's children right to left after their subtrees: the parent's bound
 starts at its label and drops to each smaller child subtree minimum, a drop
 marks that child's edge improper, and the final bound is the parent's own
-subtree minimum.  Every query here goes through that loop.
+subtree minimum.  Every edge-status query here goes through that loop.
 """
 
 from __future__ import annotations
@@ -37,8 +37,6 @@ import re
 from enum import Enum
 from operator import le
 from typing import NamedTuple
-
-EdgeRef = int
 
 IMPROPER_TAG = "x"
 PROPER_TAG = "y"
@@ -98,7 +96,7 @@ class PlaneTree:
 
     __slots__ = ("labels", "parents", "edges", "tags")
 
-    def __init__(self, root: tuple, tags: dict[EdgeRef, str] | None = None):
+    def __init__(self, root: tuple, tags: dict[int, str] | None = None):
         labels, parents, edges = map(tuple, root)
         _check_handle(labels, parents, edges)
         self.labels, self.parents, self.edges = labels, parents, edges
@@ -110,8 +108,11 @@ class PlaneTree:
             raise ValueError("every tag must be x, y, or t")
 
     @classmethod
-    def _trusted(cls, labels, parents, edges, tags=None) -> PlaneTree:
-        """A tree from arrays the library built itself, unchecked."""
+    def _trusted(cls, labels, parents, edges=None, tags=None) -> PlaneTree:
+        """A tree from arrays the library built itself, unchecked; without
+        ``edges``, a fresh one with first-descent edge ids -1, 0, 1, ..."""
+        if edges is None:
+            edges = tuple(range(-1, len(labels) - 1))
         tree = cls.__new__(cls)
         tree.labels, tree.parents, tree.edges = labels, parents, edges
         tree.tags = dict(tags) if tags else None
@@ -254,9 +255,7 @@ def parse_tree(text: str) -> PlaneTree:
         untagged = next(e for e in range(count - 1) if e not in tags)
         _fail(parts, [], "either all edges or none must be tagged",
               _piece_of(parts, untagged + 1))
-    # first-descent edge ids are preorder positions minus one
-    return PlaneTree._trusted(tuple(labels), tuple(parents),
-                              tuple(range(-1, count - 1)), tags)
+    return PlaneTree._trusted(tuple(labels), tuple(parents), tags=tags)
 
 
 def render_tree(tree: PlaneTree) -> str:
@@ -290,14 +289,14 @@ class TreeStats(NamedTuple):
     degree_of_one: int  # child count of vertex 1; 0 when absent
 
 
-def edge_list(tree: PlaneTree) -> list[tuple[EdgeRef, int, int]]:
+def edge_list(tree: PlaneTree) -> list[tuple[int, int, int]]:
     """All edges as (edge id, parent label, child label), first-descent order."""
     labels = tree.labels
     return list(zip(tree.edges[1:], map(labels.__getitem__, tree.parents[1:]),
                     labels[1:]))
 
 
-def edge_id(tree: PlaneTree, parent_label: int, child_label: int) -> EdgeRef:
+def edge_id(tree: PlaneTree, parent_label: int, child_label: int) -> int:
     # labels are plain ints: True == 1 and 3.0 == 3 name no vertex
     if type(parent_label) is int and type(child_label) is int:
         for eid, p, c in edge_list(tree):
@@ -333,7 +332,7 @@ def _improper_flags(tree: PlaneTree) -> list[bool]:
     return flags
 
 
-def classify_edge(tree: PlaneTree, edge: EdgeRef) -> EdgeStatus:
+def classify_edge(tree: PlaneTree, edge: int) -> EdgeStatus:
     """Status of one edge; classifies the whole tree, so O(n) per call."""
     edges = tree.edges
     if type(edge) is not int or edge not in edges[1:]:  # True == 1, 0.0 == 0
@@ -342,7 +341,7 @@ def classify_edge(tree: PlaneTree, edge: EdgeRef) -> EdgeStatus:
     return EdgeStatus.IMPROPER if improper else EdgeStatus.PROPER
 
 
-def improper_edges(tree: PlaneTree) -> list[EdgeRef]:
+def improper_edges(tree: PlaneTree) -> list[int]:
     """Edge ids of all improper edges, in first-descent order."""
     return [eid for eid, flag in zip(tree.edges, _improper_flags(tree)) if flag]
 

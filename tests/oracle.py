@@ -806,11 +806,11 @@ class Series:
         n = self.order
         out = [Polynomial() for _ in range(n + 1)]
         for i, a in enumerate(self.coeffs):
-            if a.is_zero:
+            if not a.coeffs:
                 continue
             for j in range(n + 1 - i):
                 b = other.coeffs[j]
-                if not b.is_zero:
+                if b.coeffs:
                     out[i + j] = out[i + j] + a * b
         return Series(out)
 

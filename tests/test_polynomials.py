@@ -65,7 +65,7 @@ def test_scalars_are_ints_only():
 
 
 def test_zero_handling():
-    assert Polynomial({(1, 0, 0): 0}).is_zero
+    assert not Polynomial({(1, 0, 0): 0}).coeffs
     assert str(Polynomial()) == "0"
     assert Polynomial() == 0
     assert X != 0

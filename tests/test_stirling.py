@@ -183,6 +183,12 @@ def test_enum_counts():
         assert sum(1 for _ in stirling_permutations(n)) == odd_double_factorial(n)
 
 
+def test_enum_walks_deep_orders_without_recursion():
+    # the first word puts each pair in front of the last: n n ... 1 1
+    first = next(stirling_permutations(3000))
+    assert first == tuple(v for k in range(3000, 0, -1) for v in (k, k))
+
+
 def test_enum_is_duplicate_free():
     for n in range(6):
         seqs = list(stirling_permutations(n))

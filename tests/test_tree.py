@@ -1,5 +1,7 @@
 """Tree text format, edge identity, and proper/improper classification."""
 
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -164,12 +166,14 @@ def test_small_classifications():
 
 def test_edge_ids_are_plain_ints():
     # True == 1 and 0.0 == 0, but an edge id is a plain int, as in the
-    # checked constructor
+    # checked constructor; -1 is the root's entry in edges, not an edge.
+    # Both entry points apply the one rule
     tree = parse_tree("1(2,3)")
-    for call, edge in ((flip_edge, True), (flip_edge, 1.0),
-                       (classify_edge, 0.0)):
-        with pytest.raises(ValueError, match=f"no edge with id {edge}$"):
-            call(tree, edge)
+    for call in (classify_edge, flip_edge):
+        for edge in (True, 1.0, 0.0, "0", 2, -1):
+            message = f"^no edge with id {re.escape(str(edge))}$"
+            with pytest.raises(ValueError, match=message):
+                call(tree, edge)
 
 
 def test_labels_in_queries_are_plain_ints():
