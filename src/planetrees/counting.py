@@ -9,9 +9,9 @@ Families, for a given number of edges n (labels drawn from 1..n+1):
   (2n-1)!!.
 
 A shape is the preorder ``parents`` tuple a ``PlaneTree`` stores, so the
-polynomial sums and the enumerators in ``families`` read the same shapes,
-and this module imports nothing from the package: ``verify`` counts
-without loading the tree layer.
+polynomial sums and the enumerators in ``families`` read the same shapes;
+they are built level by level, each size below n once and size n streamed.
+This module imports nothing from the package: ``verify`` skips the tree layer.
 
 The bounds below are where exhaustive work stops being a desk-scale job;
 the polynomial layer and the command line refuse larger n unless forced,
@@ -33,10 +33,9 @@ def catalan(n: int) -> int:
 
 def odd_double_factorial(n: int) -> int:
     """Product of the first n odd numbers, 1 * 3 * ... * (2n-1); 1 for n = 0."""
-    out = 1
-    for k in range(3, 2 * n, 2):
-        out *= k
-    return out
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    return math.prod(range(3, 2 * n, 2))
 
 
 class FamilyCount(NamedTuple):
@@ -68,20 +67,25 @@ def _require_bound(n: int, bound: int, force: bool, what: str) -> None:
             f"force to run anyway (--force)")
 
 
+def _next_level(levels: list) -> Iterator[tuple[int, ...]]:
+    """The shapes with len(levels) edges; levels[k] lists the k-edge ones."""
+    for k in range(len(levels)):
+        # the first child's subtree sits at positions 1..k+1, and the
+        # remaining tree's other vertices follow it
+        tails = [tuple(p + k + 1 if p else 0 for p in rest[1:])
+                 for rest in levels[-1 - k]]
+        for first in levels[k]:
+            head = (-1, 0) + tuple(p + 1 for p in first[1:])
+            for tail in tails:
+                yield head + tail
+
+
 def plane_shapes(n: int) -> Iterator[tuple[int, ...]]:
     """All plane tree shapes with n edges, as preorder parents tuples (the
     ``parents`` of ``PlaneTree``; ``(-1,)`` for n = 0)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n == 0:
-        yield (-1,)
-        return
-    for k in range(n):
-        # the first child's subtree sits at positions 1..k+1, and the
-        # remaining tree's other vertices follow it
-        tails = [tuple(p + k + 1 if p else 0 for p in rest[1:])
-                 for rest in plane_shapes(n - 1 - k)]
-        for first in plane_shapes(k):
-            head = (-1, 0) + tuple(p + 1 for p in first[1:])
-            for tail in tails:
-                yield head + tail
+    levels = [[(-1,)]]
+    while len(levels) < n:
+        levels.append(list(_next_level(levels)))
+    yield from _next_level(levels) if n else levels[0]

@@ -25,12 +25,12 @@ that hold the root, and weights them by t^(root degree).  Each n's subset
 sums run once per process.
 
 Closed forms.  The first sum collapses to (2n-1)!! (x+y)^n and the second
-to sum_r S[n,r] t^r (x+y)^(n-r), where S[n,r] counts increasing trees with
-n edges and root degree r; :func:`verify_closed_forms` checks both against
-the enumerated sums, taking S from the enumerated third sum.
-:func:`root_degree_counts` gives S[n,r] past the enumeration bound by
-Lagrange inversion of 1/(1 - t + t sqrt(1-2q)):
-S[n,r] = r (n-1)! C(2n-r-1, n-r) / 2^(n-r) for n >= 1.
+to sum_r S[n,r] t^r (x+y)^(n-r), S[n,r] the increasing trees with n edges
+and root degree r, both expanded by the binomial theorem;
+:func:`verify_closed_forms` checks them against the enumerated sums,
+taking S from the enumerated third sum.  :func:`root_degree_counts` gives
+S[n,r] past the enumeration bound by Lagrange inversion of
+1/(1 - t + t sqrt(1-2q)): S[n,r] = r (n-1)! C(2n-r-1, n-r) / 2^(n-r), n >= 1.
 
 Generating functions.  The exponential generating functions
 A(q) = sum_n A_n q^n/n! satisfy, written multiplicatively so that no series
@@ -331,7 +331,7 @@ def _root_degree_sum(n: int) -> Polynomial:
 # ---- closed forms ----
 
 def edge_status_closed_form(n: int) -> Polynomial:
-    return odd_double_factorial(n) * (X + Y) ** n
+    return _rooted_from_degrees(n, {0: odd_double_factorial(n)})
 
 
 def root_degree_counts(n: int) -> dict[int, int]:
@@ -353,9 +353,8 @@ def root_degree_closed_form(n: int) -> Polynomial:
 
 def _rooted_from_degrees(n: int, counts: dict[int, int]) -> Polynomial:
     """sum_r c_r t^r (x+y)^(n-r) for root-degree counts {r: c_r}."""
-    xy = X + Y
-    return sum((c * T ** r * xy ** (n - r) for r, c in counts.items()),
-               Polynomial())
+    return Polynomial({(a, n - r - a, r): c * math.comb(n - r, a)
+                       for r, c in counts.items() for a in range(n - r + 1)})
 
 
 def rooted_closed_form(n: int) -> Polynomial:
@@ -428,10 +427,12 @@ def _egf_holds(coeffs: list[Polynomial], c, s, u) -> bool:
     powers = [Polynomial.constant(1)]  # u^m
     for n in range(1, len(coeffs)):
         powers.append(powers[-1] * u)
-        tail = sum((math.comb(n, m) * odd_double_factorial(m - 1)
-                    * powers[m] * coeffs[n - m] for m in range(1, n + 1)),
-                   Polynomial())
-        if c * coeffs[n] != s * tail:
+        tail: dict = defaultdict(int)
+        for m in range(1, n + 1):
+            weight = math.comb(n, m) * odd_double_factorial(m - 1)
+            for key, v in (powers[m] * coeffs[n - m]).coeffs.items():
+                tail[key] += weight * v
+        if c * coeffs[n] != s * Polynomial(tail):
             return False
     return True
 

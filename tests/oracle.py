@@ -20,13 +20,16 @@ trees, so it can be compared against the library with ``==``, which checks
 labels, child order, edge ids and tags.
 
 Then come the exhaustive routes the library used before its in-place
-enumeration kernels: the labeled enumerators that loop over shapes and
-permutations themselves, the per-shape histogram that recomputes every
-subtree minimum and every improper count for each labeling, and the
-slot-counting recurrence for the root-degree counts.  Beside them is the
-generating-function check the library made before its integer binomial
-convolutions: truncated power series in q with rational ``Polynomial``
-coefficients (:class:`Series`), multiplied out and compared whole.
+enumeration kernels: the recursive shape generator, the labeled
+enumerators that loop over shapes and permutations themselves, the
+per-shape histogram that recomputes every subtree minimum and every
+improper count for each labeling, the slot-counting recurrence for the
+root-degree counts, and the two closed forms multiplied out by
+``Polynomial`` powers rather than expanded by the binomial theorem.  Beside
+them is the generating-function check the library made before its integer
+binomial convolutions: truncated power series in q with rational
+``Polynomial`` coefficients (:class:`Series`), multiplied out and compared
+whole.
 
 Last come the helpers that only tests need: the edge classifier by the
 minima of two explicit label sets, the five-piece decomposition of a tree
@@ -44,7 +47,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
-from planetrees.counting import odd_double_factorial, plane_shapes
+from planetrees.counting import odd_double_factorial
 from planetrees.polynomials import Polynomial, T, X, Y
 from planetrees.tree import (
     EdgeStatus,
@@ -691,6 +694,25 @@ def shape_kids(parents):
     return kids
 
 
+def plane_shapes(n):
+    """All shapes with n edges as preorder parents tuples, in the library's
+    order, each smaller size derived again inside every call."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if n == 0:
+        yield (-1,)
+        return
+    for k in range(n):
+        # the first child's subtree sits at positions 1..k+1, and the
+        # remaining tree's other vertices follow it
+        tails = [tuple(p + k + 1 if p else 0 for p in rest[1:])
+                 for rest in plane_shapes(n - 1 - k)]
+        for first in plane_shapes(k):
+            head = (-1, 0) + tuple(p + 1 for p in first[1:])
+            for tail in tails:
+                yield head + tail
+
+
 def labelings(n, root_first):
     """(shape, labels) for every shape and labeling."""
     if n < 0:
@@ -758,6 +780,18 @@ def root_degree_counts(n):
                 grown[r] += c * (2 * m - r)
         counts = dict(grown)
     return counts
+
+
+def edge_status_closed_form(n):
+    """(2n-1)!! (x+y)^n by ``Polynomial`` powers."""
+    return odd_double_factorial(n) * (X + Y) ** n
+
+
+def rooted_closed_form(n):
+    """sum_r S[n,r] t^r (x+y)^(n-r) by ``Polynomial`` powers and sums, S from
+    the slot-counting recurrence."""
+    return sum((c * T ** r * (X + Y) ** (n - r)
+                for r, c in root_degree_counts(n).items()), Polynomial())
 
 
 # ---- the truncated-series check of the generating-function identities ----

@@ -46,6 +46,7 @@ from planetrees import (
     Y,
     blocks,
     edge_list,
+    edge_status_closed_form,
     flip_edge,
     from_increasing,
     improper_edges,
@@ -58,6 +59,7 @@ from planetrees import (
     root_degree_counts,
     root_degree_polynomial,
     root_one_trees,
+    rooted_closed_form,
     sample_increasing_tree,
     sample_increasing_trees,
     sample_labeled_tree,
@@ -387,6 +389,19 @@ def test_increasing_kernel_matches_oracle_lengths_and_root_degrees():
         assert Counter(len(kids[0]) for kids in _increasing_kids(n)) == degrees
         assert root_degree_polynomial(n) == Polynomial(
             {(0, 0, r): c for r, c in degrees.items()})
+
+
+def test_plane_shapes_match_recursive_oracle():
+    # built level by level, the shapes must come out in the recursion's order
+    for n in range(10):
+        assert list(plane_shapes(n)) == list(oracle.plane_shapes(n))
+
+
+def test_closed_forms_match_polynomial_powers():
+    # the binomial expansion against (x+y)^n and t^r multiplied out
+    for n in range(31):
+        assert edge_status_closed_form(n) == oracle.edge_status_closed_form(n)
+        assert rooted_closed_form(n) == oracle.rooted_closed_form(n)
 
 
 def test_root_degree_closed_form_matches_recurrence():

@@ -222,6 +222,13 @@ def test_closed_form_polynomials():
     assert rooted_closed_form(3) == O_TABLE[3]
 
 
+def test_closed_forms_reject_negative_n():
+    for closed_form in (odd_double_factorial, edge_status_closed_form,
+                        rooted_closed_form, root_degree_closed_form):
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            closed_form(-1)
+
+
 # ---- series ----
 
 def test_sqrt_series_coefficients():

@@ -26,6 +26,22 @@ def test_no_assert_as_runtime_check():
     assert found == []
 
 
+def test_no_function_calls_itself():
+    # every traversal stays iterative: a deep input must not meet the
+    # interpreter's recursion limit
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [f"{path.name}:{call.lineno} {node.name}"
+                          for call in ast.walk(node)
+                          if isinstance(call, ast.Call)
+                          and isinstance(call.func, ast.Name)
+                          and call.func.id == node.name]
+    assert SOURCES
+    assert found == []
+
+
 def test_package_keeps_what_the_benchmark_reads():
     # perfbench/spans.py looks every LAYER_OF name up on the package on each
     # run, and the workloads read the rest; read the table without importing
