@@ -203,8 +203,6 @@ def _cmd_sample(args) -> int:
     from .families import sample_increasing_trees, sample_labeled_trees
     from .tree import render_tree
 
-    if args.count < 1:
-        raise ValueError("count must be >= 1")
     maker = sample_labeled_trees if args.family == "P" else sample_increasing_trees
     for tree in maker(args.n, args.seed, args.count):
         print(render_tree(tree))

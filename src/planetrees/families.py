@@ -241,21 +241,24 @@ def sample_increasing_tree(n: int, seed: int) -> PlaneTree:
     return next(sample_increasing_trees(n, seed, 1))
 
 
-def sample_labeled_trees(n: int, seed: int, count: int) -> Iterator[PlaneTree]:
-    """``count`` uniform labeled plane trees with n edges from one seed; the
-    first is ``sample_labeled_tree(n, seed)``."""
+def _draws(n: int, seed: int, count: int, draw) -> Iterator[PlaneTree]:
+    """``count`` trees ``draw(n, rng)`` from one seeded generator."""
+    if count < 1:
+        raise ValueError("count must be >= 1")
     if n < 0:
         raise ValueError("n must be >= 0")
     rng = random.Random(seed)
     for _ in range(count):
-        yield _random_labeled_tree(n, rng)
+        yield draw(n, rng)
+
+
+def sample_labeled_trees(n: int, seed: int, count: int) -> Iterator[PlaneTree]:
+    """``count`` uniform labeled plane trees with n edges from one seed; the
+    first is ``sample_labeled_tree(n, seed)``."""
+    return _draws(n, seed, count, _random_labeled_tree)
 
 
 def sample_increasing_trees(n: int, seed: int, count: int) -> Iterator[PlaneTree]:
     """``count`` uniform increasing plane trees with n edges from one seed;
     the first is ``sample_increasing_tree(n, seed)``."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    rng = random.Random(seed)
-    for _ in range(count):
-        yield _random_increasing_tree(n, rng)
+    return _draws(n, seed, count, _random_increasing_tree)

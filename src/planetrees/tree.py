@@ -36,7 +36,7 @@ from __future__ import annotations
 import re
 from enum import Enum
 from operator import le
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 IMPROPER_TAG = "x"
 PROPER_TAG = "y"
@@ -149,64 +149,62 @@ class PlaneTree:
 # ---- text format ----
 
 _DELIMITERS = re.compile(r"([(),])")
-# the text of one vertex; a fault shows as an empty group or as stray text
+# the text of one vertex, spaces around it included
 _HEADER = re.compile(r"\s*(?P<label>[0-9]*)\s*"
-                     r"(?:(?P<colon>:)\s*(?P<tag>[xyt]?))?\s*")
+                     rf"(?:(?P<colon>:)\s*(?P<tag>[{''.join(TAGS)}]?))?\s*")
+_SPACES = re.compile(r"\s*")
 
 
-def _piece_of(parts: list[str], vertex: int) -> int:
-    # vertex k >= 1 is the text after the k-th "(" or ","
-    return ([0] + [i + 1 for i in range(1, len(parts), 2)
-                   if parts[i] != ")"])[vertex]
-
-
-def _fail(parts: list[str], labels: list[int], message: str, index: int,
-          within: int | None = None):
-    """Raise the first fault in text order: a non-positive or repeated label
-    among those read so far, else ``message`` at offset ``within`` of
-    ``parts[index]``, or at its first non-space character."""
+def _first_fault(text: str) -> NoReturn:
+    """Raise the first fault a left-to-right read of ``text`` meets, at its
+    offset; only texts that ``parse_tree``'s fast loop rejects come here."""
     seen = set()
-    for v, label in enumerate(labels):
+    tagged, untagged = [], []  # the offsets of the child labels, by kind
+    depth = at = 0  # the open groups; the offset of the next header
+    while True:
+        found = _HEADER.match(text, at)
+        at = found.start("label")
+        if not found["label"]:
+            raise TreeParseError("expected a label", at)
+        label = int(found["label"])
         if label < 1 or label in seen:
-            message = ("labels must be positive" if label < 1
-                       else f"duplicate label {label}")
-            index, within = _piece_of(parts, v), None
-            break
+            raise TreeParseError("labels must be positive" if label < 1
+                                 else f"duplicate label {label}", at)
         seen.add(label)
-    piece = parts[index]
-    if within is None:
-        within = len(piece) - len(piece.lstrip())
-    raise TreeParseError(message, sum(map(len, parts[:index])) + within)
-
-
-def _read_header(parts: list[str], labels: list[int], index: int) -> str | None:
-    """Append the label of a vertex's text and return its tag, or raise at
-    the first fault; the root's text is ``parts[0]``."""
-    piece = parts[index]
-    found = _HEADER.match(piece)
-
-    def fail(message, at=None):
-        _fail(parts, labels, message, index, at)
-
-    if not found["label"]:
-        fail("expected a label")
-    labels.append(int(found["label"]))
-    if found["colon"] and not index:
-        fail("the root cannot carry a tag", found.start("colon"))
-    if found["colon"] and not found["tag"]:
-        fail("expected tag x, y, or t", found.start("tag"))
-    if found.end() < len(piece):
-        fail("expected ',' or ')'" if index else "unexpected trailing input",
-             found.end())
-    return found["tag"]
+        if found["colon"] and not depth:
+            raise TreeParseError("the root cannot carry a tag",
+                                 found.start("colon"))
+        if found["colon"] and not found["tag"]:
+            raise TreeParseError("expected tag x, y, or t", found.start("tag"))
+        if depth:
+            (tagged if found["colon"] else untagged).append(at)
+        at = found.end()
+        if text.startswith("(", at):
+            depth, at = depth + 1, at + 1
+            continue
+        while depth and text.startswith(")", at):
+            depth, at = depth - 1, _SPACES.match(text, at + 1).end()
+        if depth and text.startswith(",", at):
+            at += 1
+        elif depth or at < len(text):
+            raise TreeParseError("expected ',' or ')'" if depth
+                                 else "unexpected trailing input", at)
+        elif tagged and untagged:
+            raise TreeParseError("either all edges or none must be tagged",
+                                 untagged[0])
+        else:
+            raise RuntimeError("parse_tree and _first_fault disagree")
 
 
 def parse_tree(text: str) -> PlaneTree:
     """Parse tree text; raises :class:`TreeParseError` with a position.
 
     The text is split once at its delimiters; the pieces between them are
-    the vertices' labels and tags.  The fault named is the first one a
-    left-to-right scan meets, though the labels are checked only at the end.
+    the vertices' labels and tags, read by a fast loop that strips spaces
+    only from a piece it cannot read as it stands.  At any irregularity,
+    and at the end if a label is non-positive or repeated or only some
+    edges are tagged, ``_first_fault`` reads the whole text once more,
+    left to right, and raises the first fault it meets.
     """
     parts = _DELIMITERS.split(text)
     labels: list[int] = []
@@ -215,46 +213,38 @@ def parse_tree(text: str) -> PlaneTree:
     stack: list[int] = []  # the open vertices; the last is the next parent
     closed = False  # whether the last delimiter was ")"
     for i in range(0, len(parts), 2):
+        piece = parts[i]
         if i:
             mark = parts[i - 1]
             if mark == "(" and not closed:
                 stack.append(len(labels) - 1)
-            elif not stack:
-                _fail(parts, labels, "unexpected trailing input", i - 1, 0)
-            elif mark == "(":
-                _fail(parts, labels, "expected ',' or ')'", i - 1, 0)
+            elif mark == "(" or not stack:
+                _first_fault(text)
             elif mark == ")":
                 stack.pop()
                 closed = True
-                if parts[i] and not parts[i].isspace():
-                    _fail(parts, labels, "expected ',' or ')'" if stack
-                          else "unexpected trailing input", i)
+                if piece and not piece.isspace():
+                    _first_fault(text)
                 continue
             closed = False
         parents.append(stack[-1] if stack else -1)
-        piece = parts[i]
         if piece.isascii() and piece.isdigit():
             labels.append(int(piece))
             continue
         label, colon, tag = piece.partition(":")
-        if (colon and i and tag in TAGS
+        if not (colon and i and tag in TAGS
                 and label.isascii() and label.isdigit()):
-            labels.append(int(label))
-        else:
-            tag = _read_header(parts, labels, i)
-            if tag is None:
-                continue
-        tags[len(labels) - 2] = tag
+            label, tag = label.strip(), tag.strip()
+            if not (label.isascii() and label.isdigit()
+                    and (not colon or i and tag in TAGS)):
+                _first_fault(text)
+        labels.append(int(label))
+        if colon:
+            tags[len(labels) - 2] = tag
     count = len(labels)
-    if stack:
-        _fail(parts, labels, "expected ',' or ')'", len(parts) - 1,
-              len(parts[-1]))
-    if min(labels) < 1 or len(set(labels)) != count:
-        _fail(parts, labels, "", 0)  # names the first faulty label
-    if tags and len(tags) != count - 1:
-        untagged = next(e for e in range(count - 1) if e not in tags)
-        _fail(parts, [], "either all edges or none must be tagged",
-              _piece_of(parts, untagged + 1))
+    if (stack or min(labels) < 1 or len(set(labels)) != count
+            or tags and len(tags) != count - 1):
+        _first_fault(text)
     return PlaneTree._trusted(tuple(labels), tuple(parents), tags=tags)
 
 

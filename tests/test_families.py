@@ -23,6 +23,7 @@ from planetrees import (
     sample_increasing_trees,
     sample_labeled_tree,
     sample_labeled_trees,
+    stirling_permutations,
 )
 from planetrees.families import _increasing_kids, _slots
 
@@ -59,8 +60,11 @@ def test_shape_count_and_distinctness():
 
 
 def test_plane_shapes_rejects_negative():
-    with pytest.raises(ValueError):
-        list(plane_shapes(-1))
+    # as does every other public generator of a family
+    for generator in (plane_shapes, labeled_trees, root_one_trees,
+                      increasing_trees, stirling_permutations):
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            list(generator(-1))
 
 
 def test_labeled_trees_golden_sets():
@@ -175,6 +179,9 @@ def test_single_sample_is_the_first_draw(one, many):
     for sampler in (lambda: one(-1, 0), lambda: next(many(-1, 0, 1))):
         with pytest.raises(ValueError, match="n must be >= 0"):
             sampler()
+    for count in (0, -3):  # checked before n
+        with pytest.raises(ValueError, match="count must be >= 1"):
+            list(many(-1, 0, count))
 
 
 def test_labeled_sampler_is_uniform():

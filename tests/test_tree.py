@@ -1,6 +1,7 @@
 """Tree text format, edge identity, and proper/improper classification."""
 
 import re
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -56,29 +57,56 @@ def test_str_matches_render(fig_labeled):
     assert str(tree) == render_tree(tree)
 
 
-@pytest.mark.parametrize("bad", [
-    "",
-    "(",
-    "1(",
-    "1(2",
-    "1(2,)",
-    "1()",
-    "0",
-    "-3",
-    "x",
-    "1(2))",
-    "1 2",
-    "1(2,2)",        # duplicate label
-    "1(1)",          # duplicate label
-    "1:x(2)",        # tag on the root
-    "1(2:z)",        # unknown tag
-    "1(2:x,3)",      # partially tagged
-    "1(2:)",
-])
-def test_parse_errors(bad):
+FAULTS = [
+    ("", "expected a label", 0),
+    ("(", "expected a label", 0),
+    ("1(", "expected a label", 2),
+    ("1(2", "expected ',' or ')'", 3),
+    ("1(2,)", "expected a label", 4),
+    ("1()", "expected a label", 2),
+    ("0", "labels must be positive", 0),
+    ("-3", "expected a label", 0),
+    ("x", "expected a label", 0),
+    ("1(2))", "unexpected trailing input", 4),
+    ("1 2", "unexpected trailing input", 2),
+    ("1(2,2)", "duplicate label 2", 4),
+    ("1(1)", "duplicate label 1", 2),
+    ("1:x(2)", "the root cannot carry a tag", 1),
+    ("1(2:z)", "expected tag x, y, or t", 4),
+    ("1(2:x,3)", "either all edges or none must be tagged", 6),
+    ("1(2:)", "expected tag x, y, or t", 4),
+    ("1(2(3)(4))", "expected ',' or ')'", 6),  # "(" straight after ")"
+]
+
+
+@pytest.mark.parametrize("bad, message, position", FAULTS,
+                         ids=[bad for bad, _, _ in FAULTS])
+def test_parse_errors(bad, message, position):
     with pytest.raises(TreeParseError) as err:
         parse_tree(bad)
-    assert err.value.position >= 0
+    assert str(err.value) == f"{message} (at position {position})"
+    assert err.value.position == position
+
+
+BIG = 10**5
+
+
+@pytest.mark.parametrize("shape", ["decreasing path", "star"])
+def test_parse_error_at_scale(shape):
+    text, fault = {
+        # the path's last ")" is missing: the fault is at the very end
+        "decreasing path": lambda: (
+            "".join(f"{v}(" for v in range(BIG + 1, 1, -1)) + "1"
+            + ")" * (BIG - 1), "expected ',' or ')' (at position 688900)"),
+        # the star's last leaf repeats the first
+        "star": lambda: ("1(" + ",".join(map(str, range(2, BIG + 2))) + ",2)",
+                         "duplicate label 2 (at position 588902)"),
+    }[shape]()
+    started = time.perf_counter()
+    with pytest.raises(TreeParseError) as err:
+        parse_tree(text)
+    assert time.perf_counter() - started < 1.0
+    assert str(err.value) == fault
 
 
 def test_error_position_points_at_offender():
