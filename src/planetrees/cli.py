@@ -38,7 +38,13 @@ def _parse_edge_arg(text: str) -> tuple[int, int]:
     # the tree parser's rule for a label: ASCII decimal digits, nothing else
     if not all(part.isascii() and part.isdigit() for part in parts):
         raise ValueError(f"edge labels must be decimal integers, got {text!r}")
-    return int(parts[0]), int(parts[1])
+    labels = []
+    for name, part in zip(("parent", "child"), parts):
+        try:
+            labels.append(int(part))
+        except ValueError:  # from int(), on a label with too many digits
+            raise ValueError(f"the {name} label has too many digits") from None
+    return tuple(labels)
 
 
 def _cmd_classify(args) -> int:

@@ -110,20 +110,16 @@ def root_one_trees(n: int) -> Iterator[PlaneTree]:
     return _labeled_trees(n, True)
 
 
-def _preorder(kids: list[list[int]]) -> list[int]:
+def _slots(kids: list[list[int]]) -> list[tuple[int, int]]:
+    # depth-first: vertex v with d children owns positions 0..d among its
+    # children before any slot in its subtrees
     order = []
     stack = [0]
     while stack:
         v = stack.pop()
         order.append(v)
         stack.extend(reversed(kids[v]))
-    return order
-
-
-def _slots(kids: list[list[int]]) -> list[tuple[int, int]]:
-    # depth-first: vertex v with d children owns positions 0..d among its
-    # children before any slot in its subtrees
-    return [(v, pos) for v in _preorder(kids) for pos in range(len(kids[v]) + 1)]
+    return [(v, pos) for v in order for pos in range(len(kids[v]) + 1)]
 
 
 def _increasing_kids(n: int) -> Iterator[list[list[int]]]:

@@ -19,10 +19,10 @@ increasing order, the improper edges the next label adds depend only on
 the vertices labeled so far and on the one it goes to, so 2^(n+1) sets
 stand in for the (n+1)! labelings.  The sum for the empty set is the
 labeled histogram and the sum for the root alone the root-1 one; P_n at
-x = y = 1 counts the labelings summed.  The root-degree sum takes each
-shape's increasing labelings from a like sum over the sets of its vertices
-that hold the root, and weights them by t^(root degree).  Each n's subset
-sums run once per process.
+x = y = 1 counts the labelings summed.  The root-degree sum weights each
+shape by t^(root degree) and by its increasing labelings, which the
+hook-length formula counts as (n+1)! over the product of the subtree sizes
+(Knuth, TAOCP Vol. 3, 5.1.4).  Each n's sums run once per process.
 
 Closed forms.  The first sum collapses to (2n-1)!! (x+y)^n and the second
 to sum_r S[n,r] t^r (x+y)^(n-r), S[n,r] the increasing trees with n edges
@@ -255,34 +255,13 @@ def _shape_histograms(parents):
 
 
 def _increasing_labelings(parents):
-    """Increasing labelings of the shape with these preorder parents.
-
-    Labels 1, 2, ... are handed out in increasing order, the root first,
-    each to an unlabeled vertex w whose parent has one.  h[S], for the sets
-    S that hold the root (the odd ones), counts the orders in which the
-    labels reach S and adds to h[S + w]; h[all] is the count.  free[S] holds
-    the vertices S can add, so free[S + w] is free[S] without w and with w's
-    children.  A set never reached keeps h = 0 and is skipped.
-    """
-    full = (1 << len(parents)) - 1
-    kids = {1 << v: 0 for v in range(len(parents))}  # by vertex bit, as bits
-    for w in range(1, len(parents)):
-        kids[1 << parents[w]] |= 1 << w
-    h = [0] * (full + 1)
-    free = [0] * (full + 1)
-    h[1] = 1
-    free[1] = kids[1]
-    for s in range(1, full, 2):
-        ways = h[s]
-        if ways:
-            open_ = rest = free[s]
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                t = s | bit
-                h[t] += ways
-                free[t] = open_ ^ bit | kids[bit]
-    return h[full]
+    """Increasing labelings of the shape with these preorder parents.  In a
+    uniform labeling each vertex holds its subtree's least label with chance
+    1/size, independently, so the count is (n+1)! / prod(size)."""
+    size = [1] * len(parents)
+    for v in range(len(parents) - 1, 0, -1):  # reverse preorder: child first
+        size[parents[v]] += size[v]
+    return math.factorial(len(parents)) // math.prod(size)
 
 
 def edge_status_polynomial(n: int, *, force: bool = False) -> Polynomial:
@@ -320,8 +299,7 @@ def _edge_status_sums(n: int) -> tuple[Polynomial, Polynomial]:
 
 @cache
 def _root_degree_sum(n: int) -> Polynomial:
-    """S_n as each shape's increasing labelings, from their subset sum,
-    times t^(root degree), once per n per process."""
+    """S_n by the shapes' hook-length counts, once per n per process."""
     degrees: dict = defaultdict(int)
     for shape in plane_shapes(n):
         degrees[shape.count(0)] += _increasing_labelings(shape)

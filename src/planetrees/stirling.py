@@ -39,15 +39,22 @@ def parse_permutation(text: str) -> tuple[int, ...]:
         raise ValueError("empty permutation")
     joined = "".join(parts)
     ascii_digits = joined.isascii() and joined.isdigit()
-    values = tuple(map(int, parts)) if ascii_digits else ()
+    try:
+        values = tuple(map(int, parts)) if ascii_digits else ()
+    except ValueError:  # from int(), on a value with too many digits
+        values = ()
     if not values or min(values) < 1:
         # a fault: name the first one; "0" and "-1" are integers, not positive
-        for part in parts:
+        for k, part in enumerate(parts, 1):
             digits = part.removeprefix("-")
             if not (digits.isascii() and digits.isdigit()):
                 raise ValueError(f"not an integer: {part!r}")
-            if int(part) < 1:
-                raise ValueError(f"values must be positive, got {int(part)}")
+            try:
+                value = int(part)
+            except ValueError:
+                raise ValueError(f"value {k} has too many digits") from None
+            if value < 1:
+                raise ValueError(f"values must be positive, got {value}")
     return values
 
 

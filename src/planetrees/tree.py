@@ -164,9 +164,11 @@ def _first_fault(text: str) -> NoReturn:
     while True:
         found = _HEADER.match(text, at)
         at = found.start("label")
-        if not found["label"]:
-            raise TreeParseError("expected a label", at)
-        label = int(found["label"])
+        try:
+            label = int(found["label"])
+        except ValueError:  # no digits, or more than int() reads
+            raise TreeParseError("label has too many digits" if found["label"]
+                                 else "expected a label", at) from None
         if label < 1 or label in seen:
             raise TreeParseError("labels must be positive" if label < 1
                                  else f"duplicate label {label}", at)
@@ -212,35 +214,40 @@ def parse_tree(text: str) -> PlaneTree:
     tags: dict[int, str] = {}
     stack: list[int] = []  # the open vertices; the last is the next parent
     closed = False  # whether the last delimiter was ")"
-    for i in range(0, len(parts), 2):
-        piece = parts[i]
-        if i:
-            mark = parts[i - 1]
-            if mark == "(" and not closed:
-                stack.append(len(labels) - 1)
-            elif mark == "(" or not stack:
-                _first_fault(text)
-            elif mark == ")":
-                stack.pop()
-                closed = True
-                if piece and not piece.isspace():
+    try:
+        for i in range(0, len(parts), 2):
+            piece = parts[i]
+            if i:
+                mark = parts[i - 1]
+                if mark == "(" and not closed:
+                    stack.append(len(labels) - 1)
+                elif mark == "(" or not stack:
                     _first_fault(text)
+                elif mark == ")":
+                    stack.pop()
+                    closed = True
+                    if piece and not piece.isspace():
+                        _first_fault(text)
+                    continue
+                closed = False
+            parents.append(stack[-1] if stack else -1)
+            if piece.isascii() and piece.isdigit():
+                labels.append(int(piece))
                 continue
-            closed = False
-        parents.append(stack[-1] if stack else -1)
-        if piece.isascii() and piece.isdigit():
-            labels.append(int(piece))
-            continue
-        label, colon, tag = piece.partition(":")
-        if not (colon and i and tag in TAGS
-                and label.isascii() and label.isdigit()):
-            label, tag = label.strip(), tag.strip()
-            if not (label.isascii() and label.isdigit()
-                    and (not colon or i and tag in TAGS)):
-                _first_fault(text)
-        labels.append(int(label))
-        if colon:
-            tags[len(labels) - 2] = tag
+            label, colon, tag = piece.partition(":")
+            if not (colon and i and tag in TAGS
+                    and label.isascii() and label.isdigit()):
+                label, tag = label.strip(), tag.strip()
+                if not (label.isascii() and label.isdigit()
+                        and (not colon or i and tag in TAGS)):
+                    _first_fault(text)
+            labels.append(int(label))
+            if colon:
+                tags[len(labels) - 2] = tag
+    except TreeParseError:
+        raise
+    except ValueError:  # from int(), on a label with too many digits
+        _first_fault(text)
     count = len(labels)
     if (stack or min(labels) < 1 or len(set(labels)) != count
             or tags and len(tags) != count - 1):

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -15,6 +17,13 @@ FIG_LABELED = "5(1(7),3(8,2,6,4))"
 FIG_INCREASING = "1(2(5,8,3(6,4)),7)"
 FIG_TAGGED = "1(2:x(5:x,8:y,3:x(6:y,4:y)),7:y)"
 FIG_WALK = "1 4 4 7 7 2 5 5 3 3 2 1 6 6"
+
+# a numeral with more digits than int() reads from text: CPython's limit is
+# 4300 by default, and a Python without the limit reads it whole
+LONG_NUMERAL = "2" * 5000
+digit_limit = pytest.mark.skipif(
+    not 0 < getattr(sys, "get_int_max_str_digits", int)() < len(LONG_NUMERAL),
+    reason="int() reads a numeral of 5000 digits here")
 
 
 @pytest.fixture

@@ -23,11 +23,12 @@ Then come the exhaustive routes the library used before its in-place
 enumeration kernels: the recursive shape generator, the labeled
 enumerators that loop over shapes and permutations themselves, the
 per-shape histogram that recomputes every subtree minimum and every
-improper count for each labeling, the slot-counting recurrence for the
-root-degree counts, and the two closed forms multiplied out by
-``Polynomial`` powers rather than expanded by the binomial theorem.  Beside
-them is the generating-function check the library made before its integer
-binomial convolutions: truncated power series in q with rational
+improper count for each labeling, the subset sum over the vertex sets that
+hold the root for each shape's increasing labelings, the slot-counting
+recurrence for the root-degree counts, and the two closed forms multiplied
+out by ``Polynomial`` powers rather than expanded by the binomial theorem.
+Beside them is the generating-function check the library made before its
+integer binomial convolutions: truncated power series in q with rational
 ``Polynomial`` coefficients (:class:`Series`), multiplied out and compared
 whole.
 
@@ -764,6 +765,38 @@ def shape_histogram(shape, root_first):
                     bound = bc
         hist[impr] += 1
     return len(kids[0]), hist
+
+
+def increasing_labelings(parents):
+    """Increasing labelings of the shape with these preorder parents, by a
+    subset sum in place of the library's hook-length formula.
+
+    Labels 1, 2, ... are handed out in increasing order, the root first,
+    each to an unlabeled vertex w whose parent has one.  h[S], for the sets
+    S that hold the root (the odd ones), counts the orders in which the
+    labels reach S and adds to h[S + w]; h[all] is the count.  free[S] holds
+    the vertices S can add, so free[S + w] is free[S] without w and with w's
+    children.  A set never reached keeps h = 0 and is skipped.
+    """
+    full = (1 << len(parents)) - 1
+    kids = {1 << v: 0 for v in range(len(parents))}  # by vertex bit, as bits
+    for w in range(1, len(parents)):
+        kids[1 << parents[w]] |= 1 << w
+    h = [0] * (full + 1)
+    free = [0] * (full + 1)
+    h[1] = 1
+    free[1] = kids[1]
+    for s in range(1, full, 2):
+        ways = h[s]
+        if ways:
+            open_ = rest = free[s]
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                t = s | bit
+                h[t] += ways
+                free[t] = open_ ^ bit | kids[bit]
+    return h[full]
 
 
 def root_degree_counts(n):

@@ -22,7 +22,8 @@ from planetrees import (
 )
 from planetrees.cli import main
 
-from conftest import FIG_INCREASING, FIG_LABELED, FIG_TAGGED, FIG_WALK
+from conftest import (FIG_INCREASING, FIG_LABELED, FIG_TAGGED, FIG_WALK,
+                      LONG_NUMERAL, digit_limit)
 
 
 def run(capsys, *argv):
@@ -119,6 +120,15 @@ def test_phi_edge_labels_are_ascii_decimal(capsys, edge):
     assert err == f"error: edge labels must be decimal integers, got {edge!r}\n"
 
 
+@digit_limit
+def test_phi_names_an_edge_label_with_too_many_digits(capsys):
+    for edge, name in ((f"{LONG_NUMERAL},1", "parent"),
+                       (f"5,{LONG_NUMERAL}", "child")):
+        code, out, err = run(capsys, "phi", "5(1(7),3)", edge)
+        assert code == 2 and out == ""
+        assert err == f"error: the {name} label has too many digits\n"
+
+
 def test_bij_forward_golden(capsys):
     code, out, _ = run(capsys, "bij", "forward", FIG_LABELED)
     assert code == 0
@@ -202,6 +212,18 @@ def test_stdin_operand(capsys, monkeypatch):
     assert code == 0
     assert out == ("(1,2): proper\nimpr=0 prop=1\n"
                    "(2,1): improper\nimpr=1 prop=0\n")
+
+
+@digit_limit
+def test_classify_names_the_position_of_a_label_with_too_many_digits(
+        capsys, monkeypatch):
+    # the trees before the faulty line are classified, then exit code 2
+    monkeypatch.setattr(sys, "stdin",
+                        io.StringIO(f"1(2)\n1(3,{LONG_NUMERAL})\n2(1)\n"))
+    code, out, err = run(capsys, "classify", "-")
+    assert code == 2
+    assert out == "(1,2): proper\nimpr=0 prop=1\n"
+    assert err == "error: label has too many digits (at position 4)\n"
 
 
 class LineOnlyStdin(io.StringIO):
@@ -326,7 +348,7 @@ def test_verify_all_counts_the_increasing_labelings_it_sums(capsys,
 
 def test_verify_all_walks_no_increasing_tree(capsys, monkeypatch,
                                              cold_memos):
-    # the root-degree sums come from the shapes' subset sums: the
+    # the root-degree sums come from the shapes' hook-length counts: the
     # increasing-tree walk is never started
     from planetrees import families
 

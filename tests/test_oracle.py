@@ -16,8 +16,10 @@ finding a parent by walking its sibling list to one fixed end is quadratic.
 The enumeration kernels must visit what the old loops built, in the same
 order, and the subset-sum histogram must count what recomputing every
 labeling in full counted, and, on shapes past the oracle's reach, what the
-per-shape hook product gives; each shape's count of increasing labelings
-must be what the hook-length formula gives.  The integer check of the
+per-shape hook product gives.  Each shape's hook-length count of its
+increasing labelings must be what the old subset sum over the vertex sets
+that hold the root counted, and past the enumeration bound the root-degree
+sum of those counts must be the closed form.  The integer check of the
 generating-function identities must flag exactly what multiplying out the
 truncated series flagged, on the true tables and on tables with one
 coefficient bumped; sympy's own series expansion, when sympy is installed,
@@ -340,28 +342,24 @@ def test_histogram_matches_oracle_and_hook_product_at_n7(shape):
     assert root_first == _hook_histogram(shape, True)
 
 
-def _hook_length_count(parents):
-    """Increasing labelings of a shape by the hook-length formula:
-    (n+1)! over the product of its subtree sizes."""
-    size = [1] * len(parents)
-    for v in range(len(parents) - 1, 0, -1):
-        size[parents[v]] += size[v]
-    return math.factorial(len(parents)) // math.prod(size)
-
-
-def test_increasing_labelings_match_hook_length_count():
+def test_increasing_labelings_kernel_matches_oracle():
     # every shape with n <= 7, then 10 shapes of 9 to 12 vertices: up to
-    # 2^11 sets that hold the root, and counts up to about 5 million
+    # 2^11 sets that hold the root in the oracle's subset sum, and counts up
+    # to about 5 million
     rng = random.Random(3107)
     shapes = [shape for n in range(8) for shape in plane_shapes(n)]
     shapes += [_random_shape(rng.randint(9, 12), rng) for _ in range(10)]
     for shape in shapes:
-        assert _increasing_labelings(shape) == _hook_length_count(shape)
+        expected = oracle.increasing_labelings(shape)
+        assert _increasing_labelings(shape) == expected
 
 
 def test_root_degree_sum_past_the_bound_matches_closed_form(cold_memos):
-    # n = 8 is one past the enumeration bound: 1,430 shapes, 2,027,025 trees
-    assert root_degree_polynomial(8, force=True) == root_degree_closed_form(8)
+    # n = 8 is one past the enumeration bound: 1,430 shapes, 2,027,025
+    # trees; n = 11 is 58,786 shapes and 13,749,310,575 trees
+    for n in range(8, 12):
+        expected = root_degree_closed_form(n)
+        assert root_degree_polynomial(n, force=True) == expected
 
 
 def test_labelings_kernel_matches_oracle_stream():

@@ -26,7 +26,7 @@ from planetrees import (
 )
 
 import oracle
-from conftest import FIG_INCREASING, FIG_WALK
+from conftest import FIG_INCREASING, FIG_WALK, LONG_NUMERAL, digit_limit
 
 FOUR_BLOCK_PERM = (6, 6, 3, 4, 5, 5, 4, 3, 1, 1, 2, 7, 7, 2)
 
@@ -71,6 +71,18 @@ def test_parse_permutation_errors(bad):
 ])
 def test_parse_permutation_takes_ascii_decimal_digits_only(bad, message):
     # the numerals the tree parser accepts as labels, and no others
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parse_permutation(bad)
+
+
+@digit_limit
+@pytest.mark.parametrize("bad, message", [
+    (f"1 1 {LONG_NUMERAL} 2", "value 3 has too many digits"),
+    (f"-{LONG_NUMERAL} x", "value 1 has too many digits"),
+    (f"0 {LONG_NUMERAL}", "values must be positive, got 0"),
+    (f"x {LONG_NUMERAL}", "not an integer: 'x'"),
+], ids=["long", "long negative", "zero first", "non-integer first"])
+def test_parse_permutation_names_a_value_with_too_many_digits(bad, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         parse_permutation(bad)
 

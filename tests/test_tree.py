@@ -26,7 +26,8 @@ from planetrees import (
     tree_stats,
     tree_to_stirling,
 )
-from conftest import FIG_INCREASING, FIG_LABELED, FIG_TAGGED
+from conftest import (FIG_INCREASING, FIG_LABELED, FIG_TAGGED, LONG_NUMERAL,
+                      digit_limit)
 import oracle
 from oracle import classify_edge_by_min_sets
 
@@ -125,6 +126,20 @@ def test_labels_are_ascii_digits_only(text, position):
         parse_tree(text)
     assert str(err.value) == f"expected a label (at position {position})"
     assert err.value.position == position
+
+
+@digit_limit
+@pytest.mark.parametrize("text, fault", [
+    (f"1({LONG_NUMERAL})", "label has too many digits (at position 2)"),
+    (f"1(2:x,{LONG_NUMERAL}:y)", "label has too many digits (at position 6)"),
+    (f"1({LONG_NUMERAL}", "label has too many digits (at position 2)"),
+    # the fast loop stops at the long label; the first fault is named
+    (f"1(0,{LONG_NUMERAL})", "labels must be positive (at position 2)"),
+], ids=["untagged", "tagged", "unclosed", "earlier fault"])
+def test_label_with_too_many_digits_is_a_positioned_fault(text, fault):
+    with pytest.raises(TreeParseError) as err:
+        parse_tree(text)
+    assert str(err.value) == fault
 
 
 def test_equality_is_structural():
