@@ -41,6 +41,7 @@ from .tree import (
     PROPER_TAG,
     ROOT_TAG,
     PlaneTree,
+    _edge_position,
     _improper_flags,
     has_canonical_labels,
     is_increasing,
@@ -107,9 +108,7 @@ def _flip_in_order(tree: PlaneTree, positions: list[int],
 
 def flip_edge(tree: PlaneTree, edge: int) -> PlaneTree:
     """Apply the involution at one edge; a new tree, input untouched."""
-    if type(edge) is not int or edge not in tree.edges[1:]:
-        raise ValueError(f"no edge with id {edge}")
-    return _flip_in_order(tree, [tree.edges.index(edge, 1)], tree.tags)
+    return _flip_in_order(tree, [_edge_position(tree, edge)], tree.tags)
 
 
 def to_increasing(tree: PlaneTree, rooted: bool = False) -> PlaneTree:

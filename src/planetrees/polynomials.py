@@ -12,17 +12,16 @@ t^(root degree).  Summing over a whole family gives, per n:
 * ``root_degree_polynomial``   over the increasing trees.
 
 Enumeration.  These sums count every object exactly and build no tree:
-they read the shapes from ``counting`` and never load the tree layer.
-The edge-status sums take each shape's histograms by improper edge count
-from one sum over the sets of its vertices: handing out the labels in
-increasing order, the improper edges the next label adds depend only on
-the vertices labeled so far and on the one it goes to, so 2^(n+1) sets
-stand in for the (n+1)! labelings.  The sum for the empty set is the
-labeled histogram and the sum for the root alone the root-1 one; P_n at
-x = y = 1 counts the labelings summed.  The root-degree sum weights each
-shape by t^(root degree) and by its increasing labelings, which the
-hook-length formula counts as (n+1)! over the product of the subtree sizes
-(Knuth, TAOCP Vol. 3, 5.1.4).  Each n's sums run once per process.
+they read the shapes from ``counting``, never the tree layer, and count a
+shape's labelings by products, as the hook-length formula does (Knuth,
+TAOCP Vol. 3, 5.1.4).  In a uniform labeling the edge into a child is
+improper with chance s / (s + r), s the size of its subtree and r - 1
+that of its right siblings' subtrees, independently of the other edges.
+So the edge-status sums add (n+1)! prod (s x + r y) / (s + r) per shape,
+and n! times the product below the root for the root-1 trees, and the
+root-degree sum adds t^(root degree) (n+1)! / prod(subtree sizes).  P_n
+at x = y = 1 counts the labelings summed.  Each n's sums run once per
+process.
 
 Closed forms.  The first sum collapses to (2n-1)!! (x+y)^n and the second
 to sum_r S[n,r] t^r (x+y)^(n-r), S[n,r] the increasing trees with n edges
@@ -209,49 +208,32 @@ T = Polynomial({(0, 0, 1): 1})
 def _shape_histograms(parents):
     """(root degree, labeled, root-first) of the shape with these preorder
     parents: entry a of each histogram counts the labelings, all or those
-    giving the root label 1, with a improper edges.
-
-    Labels 1, 2, ... are handed out in increasing order.  The edge into a
-    child c of v is improper exactly when the first vertex of
-    A_c = {v} + [c, end(v)) to get a label lies in c's subtree [c, end(c)),
-    so the next label, given to w once the set S is labeled, adds the
-    number of vertices c on the path from w up to the root (root excluded)
-    with A_c disjoint from S.  f[S], the histogram over the orders in which
-    the rest get their labels, sums f[S + w] shifted by that number over
-    the w outside S; f[{}] is the labeled histogram and f[{root}] the
-    root-first one.  A histogram is one int with a digit of ``width`` bits
-    per improper count: no entry exceeds count!, so no digit carries.
-    """
+    giving the root label 1, with a improper edges.  The edge into a child
+    is improper when the least label of its subtree, s vertices, and of its
+    parent and its right siblings' subtrees, r more, lies in its subtree:
+    in a uniform labeling, with chance s / (s + r), independently over the
+    edges, as these sets nest or are disjoint like the subtrees of the
+    hook-length formula (Knuth, TAOCP Vol. 3, 5.1.4).  So the labeled
+    histogram is (n+1)! prod (s x + r y) / (s + r), and the root-first one
+    n! times the product below the root, as label 1 there makes the root's
+    edges proper and leaves the rest uniform."""
     count = len(parents)
-    full = (1 << count) - 1
-    width = math.factorial(count).bit_length()
-    end = list(range(1, count + 1))  # one past the last vertex of each subtree
-    for v in range(count - 1, 0, -1):
-        end[parents[v]] = max(end[parents[v]], end[v])
-    up = [0] * count  # each vertex and its ancestors below the root, as bits
-    closes = [0] * count  # the c whose A_c holds each vertex, as bits
-    for c in range(1, count):
-        p = parents[c]
-        up[c] = up[p] | 1 << c
-        for u in (p, *range(c, end[p])):
-            closes[u] |= 1 << c
-    disjoint = [full - 1]  # per set S, the c with A_c disjoint from S
-    for s in range(1, full + 1):
-        low = s & -s
-        disjoint.append(disjoint[s ^ low] & ~closes[low.bit_length() - 1])
-    moves = [(1 << w, up[w]) for w in range(count)]
-    f = [0] * full + [1]
-    for s in range(full - 1, -1, -1):
-        open_ = disjoint[s]
-        total = 0
-        for bit, path in moves:
-            if not s & bit:
-                total += f[s | bit] << width * (open_ & path).bit_count()
-        f[s] = total
-    digit = (1 << width) - 1
-    labeled, root_first = ([h >> width * a & digit for a in range(count)]
-                           for h in (f[0], f[1]))
-    return parents.count(0), labeled, root_first
+    size = [1] * count  # 1 + the sizes of the children met so far
+    below, at_root = [], []  # (s, r) of the edges below the root and at it
+    # reverse preorder: each subtree before its root, children right to left
+    for c in range(count - 1, 0, -1):
+        v = parents[c]
+        (below if v else at_root).append((size[c], size[v]))
+        size[v] += size[c]
+    poly, denominator = [1] + [0] * (count - 1), 1  # of x^0, ..., x^n
+    histograms = []  # root-first, then labeled
+    for edges, scale in ((below, math.factorial(count - 1)),
+                         (at_root, math.factorial(count))):
+        for s, r in edges:  # times s x + r y; the degree stays < count
+            poly = [s * lo + r * hi for lo, hi in zip([0] + poly, poly)]
+            denominator *= s + r
+        histograms.append([scale * a // denominator for a in poly])
+    return len(at_root), histograms[1], histograms[0]
 
 
 def _increasing_labelings(parents):
@@ -285,7 +267,7 @@ def root_degree_polynomial(n: int, *, force: bool = False) -> Polynomial:
 
 @cache
 def _edge_status_sums(n: int) -> tuple[Polynomial, Polynomial]:
-    """(P_n, O_n) from every shape's subset sums, once per n per process."""
+    """(P_n, O_n) from every shape's hook products, once per n per process."""
     labeled = [0] * (n + 1)
     rooted: dict = defaultdict(int)
     for shape in plane_shapes(n):

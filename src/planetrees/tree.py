@@ -72,6 +72,10 @@ def _check_handle(labels, parents, edges) -> None:
     if set(map(type, labels)) != {int} or min(labels) < 1 or (
             len(set(labels)) != count):
         raise ValueError("labels must be distinct positive integers")
+    try:
+        str(max(labels))  # the longest label, which render_tree must write
+    except ValueError:  # more digits than str() writes
+        raise ValueError("label has too many digits") from None
     if len(set(edges)) != count:
         raise ValueError("repeated edge id")
     path = []  # the previous vertex and its ancestors
@@ -279,6 +283,14 @@ def render_tree(tree: PlaneTree) -> str:
 
 # ---- queries ----
 
+def _named(value) -> str:
+    """``str(value)``, or a note for an int too long for ``str()``."""
+    try:
+        return str(value)
+    except ValueError:
+        return "<too many digits>"
+
+
 class TreeStats(NamedTuple):
     improper: int
     proper: int
@@ -299,14 +311,15 @@ def edge_id(tree: PlaneTree, parent_label: int, child_label: int) -> int:
         for eid, p, c in edge_list(tree):
             if p == parent_label and c == child_label:
                 return eid
-    raise ValueError(f"no edge ({parent_label},{child_label})")
+    raise ValueError(
+        f"no edge ({_named(parent_label)},{_named(child_label)})")
 
 
 def subtree_min(tree: PlaneTree, label: int) -> int:
     """Smallest label in the subtree rooted at the given vertex."""
     labels, parents = tree.labels, tree.parents
     if type(label) is not int or label not in labels:  # True == 1, 1.0 == 1
-        raise ValueError(f"no vertex labeled {label}")
+        raise ValueError(f"no vertex labeled {_named(label)}")
     v = end = labels.index(label)
     # the subtree: v and the run of later positions whose parents lie in it
     while end + 1 < len(labels) and parents[end + 1] >= v:
@@ -329,12 +342,17 @@ def _improper_flags(tree: PlaneTree) -> list[bool]:
     return flags
 
 
-def classify_edge(tree: PlaneTree, edge: int) -> EdgeStatus:
-    """Status of one edge; classifies the whole tree, so O(n) per call."""
+def _edge_position(tree: PlaneTree, edge: int) -> int:
+    """Preorder position of the vertex the edge with this id goes into."""
     edges = tree.edges
     if type(edge) is not int or edge not in edges[1:]:  # True == 1, 0.0 == 0
-        raise ValueError(f"no edge with id {edge}")
-    improper = _improper_flags(tree)[edges.index(edge, 1)]
+        raise ValueError(f"no edge with id {_named(edge)}")
+    return edges.index(edge, 1)
+
+
+def classify_edge(tree: PlaneTree, edge: int) -> EdgeStatus:
+    """Status of one edge; classifies the whole tree, so O(n) per call."""
+    improper = _improper_flags(tree)[_edge_position(tree, edge)]
     return EdgeStatus.IMPROPER if improper else EdgeStatus.PROPER
 
 

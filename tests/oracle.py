@@ -23,10 +23,11 @@ Then come the exhaustive routes the library used before its in-place
 enumeration kernels: the recursive shape generator, the labeled
 enumerators that loop over shapes and permutations themselves, the
 per-shape histogram that recomputes every subtree minimum and every
-improper count for each labeling, the subset sum over the vertex sets that
-hold the root for each shape's increasing labelings, the slot-counting
-recurrence for the root-degree counts, and the two closed forms multiplied
-out by ``Polynomial`` powers rather than expanded by the binomial theorem.
+improper count for each labeling, the subset sums over the vertex sets
+that gave each shape's edge-status histograms and, over the sets that hold
+the root, its increasing labelings, the slot-counting recurrence for the
+root-degree counts, and the two closed forms multiplied out by
+``Polynomial`` powers rather than expanded by the binomial theorem.
 Beside them is the generating-function check the library made before its
 integer binomial convolutions: truncated power series in q with rational
 ``Polynomial`` coefficients (:class:`Series`), multiplied out and compared
@@ -765,6 +766,54 @@ def shape_histogram(shape, root_first):
                     bound = bc
         hist[impr] += 1
     return len(kids[0]), hist
+
+
+def subset_sum_histograms(parents):
+    """(root degree, labeled, root-first) of the shape with these preorder
+    parents, by a subset sum over the sets of its vertices in place of the
+    library's per-shape hook product.
+
+    Labels 1, 2, ... are handed out in increasing order.  The edge into a
+    child c of v is improper exactly when the first vertex of
+    A_c = {v} + [c, end(v)) to get a label lies in c's subtree [c, end(c)),
+    so the next label, given to w once the set S is labeled, adds the
+    number of vertices c on the path from w up to the root (root excluded)
+    with A_c disjoint from S.  f[S], the histogram over the orders in which
+    the rest get their labels, sums f[S + w] shifted by that number over
+    the w outside S; f[{}] is the labeled histogram and f[{root}] the
+    root-first one.  A histogram is one int with a digit of ``width`` bits
+    per improper count: no entry exceeds count!, so no digit carries.
+    """
+    count = len(parents)
+    full = (1 << count) - 1
+    width = math.factorial(count).bit_length()
+    end = list(range(1, count + 1))  # one past the last vertex of each subtree
+    for v in range(count - 1, 0, -1):
+        end[parents[v]] = max(end[parents[v]], end[v])
+    up = [0] * count  # each vertex and its ancestors below the root, as bits
+    closes = [0] * count  # the c whose A_c holds each vertex, as bits
+    for c in range(1, count):
+        p = parents[c]
+        up[c] = up[p] | 1 << c
+        for u in (p, *range(c, end[p])):
+            closes[u] |= 1 << c
+    disjoint = [full - 1]  # per set S, the c with A_c disjoint from S
+    for s in range(1, full + 1):
+        low = s & -s
+        disjoint.append(disjoint[s ^ low] & ~closes[low.bit_length() - 1])
+    moves = [(1 << w, up[w]) for w in range(count)]
+    f = [0] * full + [1]
+    for s in range(full - 1, -1, -1):
+        open_ = disjoint[s]
+        total = 0
+        for bit, path in moves:
+            if not s & bit:
+                total += f[s | bit] << width * (open_ & path).bit_count()
+        f[s] = total
+    digit = (1 << width) - 1
+    labeled, root_first = ([h >> width * a & digit for a in range(count)]
+                           for h in (f[0], f[1]))
+    return parents.count(0), labeled, root_first
 
 
 def increasing_labelings(parents):

@@ -363,8 +363,8 @@ def test_verify_all_walks_no_increasing_tree(capsys, monkeypatch,
 
 
 def test_verify_thm1_forced_past_the_bound(capsys, cold_memos):
-    # n = 7 is one past the enumeration bound; the subset sum takes it in
-    # well under a second
+    # n = 7 is one past the enumeration bound; the shapes' hook products
+    # take it in well under a second
     code, out, _ = run(capsys, "verify", "thm1", "--n", "7", "--force")
     assert code == 0
     lines = out.splitlines()

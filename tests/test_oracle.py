@@ -14,12 +14,13 @@ sampler and the increasing enumerator must give exactly what rebuilding by
 path copying gave.  The scale tests at n = 10^5 run the two shapes on which
 finding a parent by walking its sibling list to one fixed end is quadratic.
 The enumeration kernels must visit what the old loops built, in the same
-order, and the subset-sum histogram must count what recomputing every
-labeling in full counted, and, on shapes past the oracle's reach, what the
-per-shape hook product gives.  Each shape's hook-length count of its
-increasing labelings must be what the old subset sum over the vertex sets
-that hold the root counted, and past the enumeration bound the root-degree
-sum of those counts must be the closed form.  The integer check of the
+order.  Each shape's edge-status histograms, by the per-shape hook
+product, must count what recomputing every labeling in full counted and,
+on shapes past that oracle's reach too, what the old subset sum over the
+vertex sets counted.  Each shape's hook-length count of its increasing
+labelings must be what the old subset sum over the vertex sets that hold
+the root counted, and past the enumeration bound the root-degree sum of
+those counts must be the closed form.  The integer check of the
 generating-function identities must flag exactly what multiplying out the
 truncated series flagged, on the true tables and on tables with one
 coefficient bumped; sympy's own series expansion, when sympy is installed,
@@ -73,8 +74,13 @@ from planetrees import (
 from planetrees.counting import plane_shapes
 from planetrees.families import _increasing_kids, _labelings, build_tree
 from planetrees.involution import _flip_in_order
-from planetrees.polynomials import _coefficient_table, _egf_holds
-from planetrees.polynomials import _increasing_labelings, _shape_histograms
+from planetrees.polynomials import (
+    _coefficient_table,
+    _edge_status_sums,
+    _egf_holds,
+    _increasing_labelings,
+    _shape_histograms,
+)
 
 
 def test_flip_matches_oracle_exhaustive():
@@ -276,32 +282,6 @@ def test_incremental_histogram_matches_oracle_every_shape():
             assert (deg, root_first) == oracle.shape_histogram(shape, True)
 
 
-def _hook_histogram(parents, root_first):
-    """The kernel's histogram by the per-shape hook product, no labeling
-    visited: (n+1)! prod_v prod_i (s_i x + r_i y) / (s_i + r_i) over the
-    children c_1..c_k of each vertex v, s_i the size of c_i's subtree and
-    r_i = 1 + s_(i+1) + ... + s_k; root-first takes n! and skips the root's
-    children, whose edges are all proper."""
-    count = len(parents)
-    size = [1] * count
-    for v in range(count - 1, 0, -1):
-        size[parents[v]] += size[v]
-    poly, denominator = [1], 1  # coefficient a is that of x^a
-    after = [1] * count  # 1 + the sizes of the children already met
-    for c in range(count - 1, 0, -1):  # each vertex's children right to left
-        v = parents[c]
-        s, r = size[c], after[v]
-        after[v] += s
-        if root_first and v == 0:
-            continue
-        poly = [s * lo + r * hi for lo, hi in zip([0] + poly, poly + [0])]
-        denominator *= s + r
-    scale = math.factorial(count - root_first)
-    assert all(scale * c % denominator == 0 for c in poly)
-    hist = [scale * c // denominator for c in poly]
-    return hist + [0] * (count - len(hist))
-
-
 def _random_shape(count, rng):
     """Preorder parents of a plane tree: each vertex hangs below some
     vertex on the path from the root to the vertex before it."""
@@ -314,19 +294,19 @@ def _random_shape(count, rng):
 
 
 def test_histogram_matches_hook_product():
-    # every shape with n <= 6, then shapes of 8 to 11 vertices: up to 11!
-    # labelings, too many to walk, and digits of up to 26 bits in the
-    # kernel's packed histograms
+    # the old subset sum's histograms against the kernel's per-shape hook
+    # product: every shape with n <= 6, then shapes of 8 to 11 vertices: up
+    # to 11! labelings, too many to walk, and digits of up to 26 bits in the
+    # subset sum's packed histograms
     rng = random.Random(2031)
     shapes = [shape for n in range(7) for shape in plane_shapes(n)]
     shapes += [(-1, *range(10)), (-1,) + (0,) * 10]  # the path and the star
     shapes += [_random_shape(rng.randint(8, 11), rng) for _ in range(10)]
     for shape in shapes:
-        deg, labeled, root_first = _shape_histograms(shape)
-        assert deg == shape.count(0)
-        assert labeled == _hook_histogram(shape, False)
-        assert root_first == _hook_histogram(shape, True)
-        assert sum(labeled) == math.factorial(len(shape))
+        histograms = _shape_histograms(shape)
+        assert histograms == oracle.subset_sum_histograms(shape)
+        assert histograms[0] == shape.count(0)
+        assert sum(histograms[1]) == math.factorial(len(shape))
 
 
 @pytest.mark.parametrize("shape", [
@@ -338,8 +318,7 @@ def test_histogram_matches_oracle_and_hook_product_at_n7(shape):
     deg, labeled, root_first = _shape_histograms(shape)
     assert (deg, labeled) == oracle.shape_histogram(shape, False)
     assert (deg, root_first) == oracle.shape_histogram(shape, True)
-    assert labeled == _hook_histogram(shape, False)
-    assert root_first == _hook_histogram(shape, True)
+    assert (deg, labeled, root_first) == oracle.subset_sum_histograms(shape)
 
 
 def test_increasing_labelings_kernel_matches_oracle():
@@ -360,6 +339,14 @@ def test_root_degree_sum_past_the_bound_matches_closed_form(cold_memos):
     for n in range(8, 12):
         expected = root_degree_closed_form(n)
         assert root_degree_polynomial(n, force=True) == expected
+
+
+def test_edge_status_sums_past_the_bound_match_closed_forms(cold_memos):
+    # n = 7 is one past the enumeration bound; n = 10 is 16,796 shapes and
+    # 39,916,800 labelings of each
+    for n in range(7, 11):
+        assert _edge_status_sums(n) == (edge_status_closed_form(n),
+                                        rooted_closed_form(n))
 
 
 def test_labelings_kernel_matches_oracle_stream():

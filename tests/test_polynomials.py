@@ -309,7 +309,7 @@ def test_enumerated_table_memo_is_transparent(cold_memos):
 
 
 def test_rooted_sum_alone_on_a_cold_memo(cold_memos):
-    # the rooted sum alone runs the edge-status subset sums, leaves P_5
+    # the rooted sum alone runs the edge-status hook products, leaves P_5
     # with O_5 in their memo and computes no root-degree sum
     rooted = rooted_edge_status_polynomial(5)
     assert polynomials._edge_status_sums.cache_info().misses == 1

@@ -232,6 +232,28 @@ def test_labels_in_queries_are_plain_ints():
             edge_id(tree, parent, child)
 
 
+@digit_limit
+@pytest.mark.parametrize("call, message", [
+    (lambda tree, big: PlaneTree(((1, big), (-1, 0), (-1, 0))),
+     "label has too many digits"),
+    (lambda tree, big: edge_id(tree, 1, big), "no edge (1,<too many digits>)"),
+    (lambda tree, big: edge_id(tree, big, 2), "no edge (<too many digits>,2)"),
+    (lambda tree, big: subtree_min(tree, big),
+     "no vertex labeled <too many digits>"),
+    (lambda tree, big: classify_edge(tree, big),
+     "no edge with id <too many digits>"),
+    (lambda tree, big: flip_edge(tree, big),
+     "no edge with id <too many digits>"),
+], ids=["constructor", "edge_id child", "edge_id parent", "subtree_min",
+        "classify_edge", "flip_edge"])
+def test_int_with_too_many_digits_is_named(call, message):
+    # str() will not write an int of more digits than int() reads: no tree
+    # holds such a label, and a query by one names it without writing it
+    with pytest.raises(ValueError) as err:
+        call(parse_tree("1(2)"), 10 ** len(LONG_NUMERAL))
+    assert str(err.value) == message
+
+
 def test_improper_edges_in_walk_order(fig_labeled):
     tree = parse_tree(fig_labeled)
     assert improper_edges(tree) == [0, 2, 4]
