@@ -106,68 +106,48 @@ def _cmd_stirling(args) -> int:
     return 0
 
 
-def _verify_thm1(ns, force: bool, show_polys: bool) -> int:
-    from .polynomials import verify_closed_forms
-
-    failures = 0
-    for n in ns:
-        report = verify_closed_forms(n, force=force)
-        if show_polys:
-            print(f"P_{n} = {report.labeled}")
-            print(f"O_{n} = {report.rooted}")
-        print(f"thm1 n={n} {'PASS' if report.passed else 'FAIL'}")
-        failures += 0 if report.passed else 1
-    return failures
-
-
-def _verify_thm2(order: int, force: bool) -> int:
-    from .polynomials import verify_egf_identities
-
-    report = verify_egf_identities(order, force=force)
-    for name, ok in (("P", report.labeled_ok), ("O", report.rooted_ok),
-                     ("S", report.degree_ok)):
-        print(f"thm2 {name} order={order} {'PASS' if ok else 'FAIL'}")
-    return 0 if report.passed else 1
-
-
-def _verify_counts(ns_labeled, ns_increasing, force: bool) -> int:
-    from .counting import family_count, odd_double_factorial
-    from .polynomials import edge_status_polynomial, root_degree_polynomial
-
-    failures = 0
-    for n in ns_labeled:
-        seen = edge_status_polynomial(n, force=force).eval(1, 1, 1)
-        lhs = family_count(n).labeled  # (n+1)! C_n
-        rhs = 2 ** n * odd_double_factorial(n)
-        ok = seen == lhs == rhs
-        print(f"counts P n={n} {'PASS' if ok else 'FAIL'} "
-              f"{seen} = {lhs} = {rhs}")
-        failures += 0 if ok else 1
-    for n in ns_increasing:
-        seen = root_degree_polynomial(n, force=force).eval(1, 1, 1)
-        expect = family_count(n).increasing
-        ok = seen == expect
-        print(f"counts I n={n} {'PASS' if ok else 'FAIL'} {seen} = {expect}")
-        failures += 0 if ok else 1
-    return failures
+def _report(check: str, ok: bool, detail: str = "") -> int:
+    """Print one verify line, ``<check> PASS|FAIL<detail>``; 1 on a failure."""
+    print(f"{check} {'PASS' if ok else 'FAIL'}{detail}")
+    return 0 if ok else 1
 
 
 def _cmd_verify(args) -> int:
-    from .counting import MAX_INCREASING_EDGES, MAX_LABELED_EDGES
+    from .counting import (MAX_INCREASING_EDGES, MAX_LABELED_EDGES,
+                           family_count, odd_double_factorial)
+    from .polynomials import (MAX_SERIES_ORDER, edge_status_polynomial,
+                              root_degree_polynomial, verify_closed_forms,
+                              verify_egf_identities)
 
     failures = 0
     started = time.perf_counter()
     ns = range(MAX_LABELED_EDGES + 1) if args.n is None else [args.n]
     if args.target in ("counts", "all"):
-        ns_increasing = (range(MAX_INCREASING_EDGES + 1) if args.n is None
-                         else ns)
-        failures += _verify_counts(ns, ns_increasing, args.force)
+        for n in ns:
+            seen = edge_status_polynomial(n, force=args.force).eval(1, 1, 1)
+            lhs = family_count(n).labeled  # (n+1)! C_n
+            rhs = 2 ** n * odd_double_factorial(n)
+            failures += _report(f"counts P n={n}", seen == lhs == rhs,
+                                f" {seen} = {lhs} = {rhs}")
+        for n in range(MAX_INCREASING_EDGES + 1) if args.n is None else ns:
+            seen = root_degree_polynomial(n, force=args.force).eval(1, 1, 1)
+            expect = family_count(n).increasing
+            failures += _report(f"counts I n={n}", seen == expect,
+                                f" {seen} = {expect}")
     if args.target in ("thm1", "all"):
-        failures += _verify_thm1(ns, args.force, show_polys=args.n is not None)
+        for n in ns:
+            report = verify_closed_forms(n, force=args.force)
+            if args.n is not None:
+                print(f"P_{n} = {report.labeled}")
+                print(f"O_{n} = {report.rooted}")
+            failures += _report(f"thm1 n={n}", report.passed)
     if args.target in ("thm2", "all"):
-        failures += _verify_thm2(args.order, args.force)
-    elapsed = time.perf_counter() - started
-    print(f"elapsed {elapsed:.2f}s", file=sys.stderr)
+        order = MAX_SERIES_ORDER if args.order is None else args.order
+        report = verify_egf_identities(order, force=args.force)
+        for name, ok in (("P", report.labeled_ok), ("O", report.rooted_ok),
+                         ("S", report.degree_ok)):
+            failures += _report(f"thm2 {name} order={order}", ok)
+    print(f"elapsed {time.perf_counter() - started:.2f}s", file=sys.stderr)
     return 0 if failures == 0 else 1
 
 
@@ -248,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("target", choices=["thm1", "thm2", "counts", "all"])
     p.add_argument("--n", type=int, default=None,
                    help="single n instead of the default sweep")
-    p.add_argument("--order", type=int, default=10,
+    p.add_argument("--order", type=int, default=None,
                    help="series truncation order for thm2")
     p.add_argument("--force", action="store_true",
                    help="ignore the feasibility bounds")

@@ -43,10 +43,9 @@ from __future__ import annotations
 
 import math
 import random
-from itertools import islice, permutations
+from itertools import accumulate, islice, permutations
 from typing import Iterator
 
-from .counting import plane_shapes
 from .tree import PlaneTree
 
 
@@ -82,6 +81,8 @@ def _labelings(n: int,
     labeled 1.  One shape tuple is shared by all its labelings; no tree is
     built.
     """
+    from .counting import plane_shapes  # here: the samplers need no counting
+
     if n < 0:
         raise ValueError("n must be >= 0")
     # the permutations of 1..n+1 that start with 1 are the first n! of them
@@ -174,14 +175,8 @@ def _random_shape_parents(n: int, rng: random.Random) -> list[int]:
     # exactly one such word)
     steps = [1] * n + [-1] * (n + 1)
     rng.shuffle(steps)
-    total = 0
-    low = 2
-    cut = -1
-    for i, st in enumerate(steps):
-        total += st
-        if total < low:
-            low = total
-            cut = i
+    sums = list(accumulate(steps))
+    cut = sums.index(min(sums))
     word = steps[cut + 1:] + steps[:cut + 1]
     if word[-1] != -1:
         raise RuntimeError("rotated step word does not end in a down-step")

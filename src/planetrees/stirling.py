@@ -59,7 +59,15 @@ def parse_permutation(text: str) -> tuple[int, ...]:
 
 
 def format_permutation(seq: Sequence[int]) -> str:
-    return " ".join(str(v) for v in seq)
+    try:
+        return " ".join(map(str, seq))
+    except ValueError:  # from str(), on a value with too many digits
+        for k, value in enumerate(seq, 1):
+            try:
+                str(value)
+            except ValueError:
+                raise ValueError(f"value {k} has too many digits") from None
+        raise
 
 
 def _stirling_arrays(seq: Sequence[int]) -> tuple[list, list] | None:

@@ -403,6 +403,23 @@ def test_bound_refusals_name_the_flag(capsys, argv):
                         r"force to run anyway \(--force\)\n", err)
 
 
+def test_verify_all_refused_at_thm2_keeps_the_lines_before(capsys):
+    # each line prints as its check ends: a refusal at thm2 leaves the
+    # counts and thm1 lines of the default sweep in place
+    code, out, err = run(capsys, "verify", "all", "--order", "11")
+    assert code == 2
+    golden = Path(__file__).with_name("golden") / "verify_all.txt"
+    assert out == golden.read_text().partition("thm2 ")[0]
+    assert err == ("error: order=11 exceeds the default bound 10; "
+                   "force to run anyway (--force)\n")
+
+
+def test_verify_negative_order_is_refused(capsys):
+    code, out, err = run(capsys, "verify", "thm2", "--order", "-1")
+    assert code == 2 and out == ""
+    assert err == "error: order must be >= 0\n"
+
+
 def test_verify_force_overrides_order_bound(capsys):
     code, out, _ = run(capsys, "verify", "thm2", "--order", "11", "--force")
     assert code == 0

@@ -45,7 +45,7 @@ LAYERS = {
     "phi": {"planetrees.involution", "planetrees.tree"},
     "bij": {"planetrees.involution", "planetrees.tree"},
     "stirling": {"planetrees.stirling", "planetrees.tree"},
-    "sample": {"planetrees.counting", "planetrees.families", "planetrees.tree"},
+    "sample": {"planetrees.families", "planetrees.tree"},
     "verify": {"planetrees.counting", "planetrees.polynomials"},
 }
 

@@ -348,6 +348,8 @@ def test_egf_identities_auto_mixes_sources():
 def test_egf_bounds():
     with pytest.raises(ValueError):
         verify_egf_identities(11)
+    with pytest.raises(ValueError, match="^order must be >= 0$"):
+        verify_egf_identities(-1)
     with pytest.raises(ValueError):
         verify_egf_identities(7, source="enumerated")
     with pytest.raises(ValueError):

@@ -14,6 +14,7 @@ from planetrees import (
     edge_id,
     edge_list,
     flip_edge,
+    format_permutation,
     has_canonical_labels,
     improper_edges,
     is_increasing,
@@ -244,11 +245,14 @@ def test_labels_in_queries_are_plain_ints():
      "no edge with id <too many digits>"),
     (lambda tree, big: flip_edge(tree, big),
      "no edge with id <too many digits>"),
+    (lambda tree, big: format_permutation((1, big, 1)),
+     "value 2 has too many digits"),
 ], ids=["constructor", "edge_id child", "edge_id parent", "subtree_min",
-        "classify_edge", "flip_edge"])
+        "classify_edge", "flip_edge", "format_permutation"])
 def test_int_with_too_many_digits_is_named(call, message):
     # str() will not write an int of more digits than int() reads: no tree
-    # holds such a label, and a query by one names it without writing it
+    # holds such a label, and a query by one, or a permutation holding one,
+    # names it without writing it
     with pytest.raises(ValueError) as err:
         call(parse_tree("1(2)"), 10 ** len(LONG_NUMERAL))
     assert str(err.value) == message
