@@ -115,10 +115,13 @@ def _report(check: str, ok: bool, detail: str = "") -> int:
 def _cmd_verify(args) -> int:
     from .counting import (MAX_INCREASING_EDGES, MAX_LABELED_EDGES,
                            family_count, odd_double_factorial)
-    from .polynomials import (MAX_SERIES_ORDER, edge_status_polynomial,
-                              root_degree_polynomial, verify_closed_forms,
-                              verify_egf_identities)
+    from .polynomials import (MAX_SERIES_ORDER, _require_order,
+                              edge_status_polynomial, root_degree_polynomial,
+                              verify_closed_forms, verify_egf_identities)
 
+    order = MAX_SERIES_ORDER if args.order is None else args.order
+    if args.target in ("thm2", "all"):  # refused before any check runs
+        _require_order(order, args.force)
     failures = 0
     started = time.perf_counter()
     ns = range(MAX_LABELED_EDGES + 1) if args.n is None else [args.n]
@@ -142,7 +145,6 @@ def _cmd_verify(args) -> int:
                 print(f"O_{n} = {report.rooted}")
             failures += _report(f"thm1 n={n}", report.passed)
     if args.target in ("thm2", "all"):
-        order = MAX_SERIES_ORDER if args.order is None else args.order
         report = verify_egf_identities(order, force=args.force)
         for name, ok in (("P", report.labeled_ok), ("O", report.rooted_ok),
                          ("S", report.degree_ok)):

@@ -33,10 +33,11 @@ enumerator and the sampler.  Slots are numbered depth-first: vertex v with d
 children owns slots 0..d, its positions among its children, before any slot
 in its subtrees, and a subtree with s edges spans 2s+1 slots.  The kernel
 walks the slots in that order by backtracking (insert, descend, remove).
-The sampler draws a slot number with ``rng.randrange(2m-1)`` and descends to
-it by subtree sizes kept up to date on the way down, scanning the children
-of each vertex it passes.  The root degree grows like sqrt(n), so a sample
-takes time superlinear in n.
+The sampler draws slot k with ``rng.randrange(2m-1)`` and keeps the slots
+as one preorder list of their owners, in chunks of about ``_CHUNK`` split
+only between vertices, so a step reads k's owner and inserts into one chunk
+with no subtree sizes and no child scans: linear in n but for the walk to
+k's chunk.
 """
 
 from __future__ import annotations
@@ -198,27 +199,54 @@ def _random_labeled_tree(n: int, rng: random.Random) -> PlaneTree:
     return PlaneTree._trusted(tuple(labels), tuple(parents))
 
 
+_CHUNK = 2048  # a chunk past this many slots splits when a draw lands in it
+
+
 def _random_increasing_tree(n: int, rng: random.Random) -> PlaneTree:
     # the same depth-first slot numbering as the enumerator, so that a seed
-    # picks the same tree: descend by subtree sizes to the chosen slot
+    # picks the same tree; vertex v's block is its d+1 slots, v repeated
     kids: list[list[int]] = [[] for _ in range(n + 1)]
-    size = [0] * (n + 1)  # edges below each vertex
-    for m in range(1, n + 1):
-        pos = rng.randrange(2 * m - 1)
-        v = 0
-        while True:
-            size[v] += 1
-            here = kids[v]
-            if pos <= len(here):
-                here.insert(pos, m)
-                break
-            pos -= len(here) + 1
-            for c in here:
-                span = 2 * size[c] + 1
-                if pos < span:
-                    v = c
+    head = [0]
+    chunks = [head]
+    where = [head] * (n + 1)  # the chunk holding each vertex's block
+    half = _CHUNK // 2  # up to this step, the 2m-1 slots fit in one chunk
+    for m, k in enumerate(map(rng.randrange, range(1, 2 * n, 2)), 1):
+        chunk = head
+        if m > half:
+            back = k >= m  # walk the chunks from the nearer end
+            k = 2 * m - 2 - k if back else k
+            for chunk in reversed(chunks) if back else chunks:
+                if k < (size := len(chunk)):
                     break
-                pos -= span
+                k -= size
+            k = len(chunk) - 1 - k if back else k
+            if len(chunk) > _CHUNK:  # split at a block start near the middle
+                h = len(chunk) // 2
+                u = chunk[h]
+                h = chunk.index(u, max(h - len(kids[u]), 0)) or len(kids[u]) + 1
+                if h < len(chunk):
+                    tail = chunk[h:]
+                    del chunk[h:]
+                    chunks.insert(chunks.index(chunk) + 1, tail)
+                    for u in tail:
+                        where[u] = tail
+                    if k >= h:
+                        chunk, k = tail, k - h
+        v = chunk[k]
+        here = kids[v]
+        d = len(here)
+        pos = k - chunk.index(v, k - d if k > d else 0) if d else 0
+        chunk.insert(k, v)
+        if pos:  # after the rightmost leaf of the child before m
+            r = here[pos - 1]
+            while kids[r]:
+                r = kids[r][-1]
+            into = where[m] = where[r]
+            into.insert(into.index(r, k if into is chunk else 0) + 1, m)
+        else:  # m is v's first child: its slot follows v's block
+            chunk.insert(k + d + 2, m)
+            where[m] = chunk
+        here.insert(pos, m)
     return build_tree(kids)
 
 

@@ -403,15 +403,21 @@ def test_bound_refusals_name_the_flag(capsys, argv):
                         r"force to run anyway \(--force\)\n", err)
 
 
-def test_verify_all_refused_at_thm2_keeps_the_lines_before(capsys):
-    # each line prints as its check ends: a refusal at thm2 leaves the
-    # counts and thm1 lines of the default sweep in place
-    code, out, err = run(capsys, "verify", "all", "--order", "11")
-    assert code == 2
-    golden = Path(__file__).with_name("golden") / "verify_all.txt"
-    assert out == golden.read_text().partition("thm2 ")[0]
-    assert err == ("error: order=11 exceeds the default bound 10; "
-                   "force to run anyway (--force)\n")
+@pytest.mark.parametrize("order, message", [
+    ("11", "order=11 exceeds the default bound 10; force to run anyway "
+           "(--force)"),
+    ("-1", "order must be >= 0"),
+], ids=["past_bound", "negative"])
+def test_verify_all_refuses_a_bad_order_before_any_check(capsys, order,
+                                                         message):
+    # the order is checked before the counts and thm1 sweep runs, so a
+    # refusal prints no line of it
+    code, out, err = run(capsys, "verify", "all", "--order", order)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+    # a target without thm2 reads no order
+    code, out, _ = run(capsys, "verify", "counts", "--n", "2", "--order", order)
+    assert code == 0 and out.count("PASS") == 2
 
 
 def test_verify_negative_order_is_refused(capsys):

@@ -1,7 +1,9 @@
 """Counting, exhaustive enumeration, and uniform sampling of the three
 tree families."""
 
+import hashlib
 import math
+import time
 from collections import Counter
 
 import pytest
@@ -182,6 +184,18 @@ def test_single_sample_is_the_first_draw(one, many):
     for count in (0, -3):  # checked before n
         with pytest.raises(ValueError, match="count must be >= 1"):
             list(many(-1, 0, count))
+
+
+def test_increasing_sampler_at_scale():
+    # the seed -> tree map at n = 10^5, pinned by the sha256 of the text
+    started = time.perf_counter()
+    tree = sample_increasing_tree(10**5, 1)
+    assert time.perf_counter() - started < 3.0
+    assert tree.edge_count == 10**5
+    assert is_increasing(tree)
+    assert has_canonical_labels(tree)
+    assert hashlib.sha256(render_tree(tree).encode()).hexdigest() == (
+        "037452b53812868dd8a3d5d6b16a869b9aa8030175591bc19639ce44c3994c2f")
 
 
 def test_labeled_sampler_is_uniform():

@@ -11,7 +11,9 @@ one path-copying flip per edge.
 Every tree comparison is ``==`` on trees, which checks labels, child order,
 edge ids and tags, so the in-place flip, the two bijections, the increasing
 sampler and the increasing enumerator must give exactly what rebuilding by
-path copying gave.  The scale tests at n = 10^5 run the two shapes on which
+path copying gave; the sampler must also give what the scan descent it
+replaced gave, at n up to 2*10^4 and, with tiny chunks, across many chunk
+splits.  The scale tests at n = 10^5 run the two shapes on which
 finding a parent by walking its sibling list to one fixed end is quadratic.
 The enumeration kernels must visit what the old loops built, in the same
 order.  Each shape's edge-status histograms, by the per-shape hook
@@ -71,6 +73,7 @@ from planetrees import (
     tree_to_stirling,
     verify_egf_identities,
 )
+from planetrees import families
 from planetrees.counting import plane_shapes
 from planetrees.families import _increasing_kids, _labelings, build_tree
 from planetrees.involution import _flip_in_order
@@ -255,6 +258,23 @@ def test_sampler_stream_matches_oracle():
 @given(st.integers(0, 200), st.integers(0, 10**9))
 def test_random_seeds_sample_like_oracle(n, seed):
     assert sample_increasing_tree(n, seed) == oracle.sample_increasing_tree(n, seed)
+
+
+@pytest.mark.parametrize("n", [500, 2000, 20000])
+def test_sampler_matches_scan_descent(n):
+    for seed in range(3):
+        assert (sample_increasing_tree(n, seed)
+                == oracle.scan_increasing_tree(n, random.Random(seed)))
+
+
+def test_sampler_matches_scan_descent_across_chunk_splits(monkeypatch):
+    # chunks of at most about 8 slots split again and again from n = 5 on,
+    # and a vertex with 8 or more children has a block too long to split
+    monkeypatch.setattr(families, "_CHUNK", 8)
+    for n in range(301):
+        for seed in range(3):
+            assert (sample_increasing_tree(n, seed)
+                    == oracle.scan_increasing_tree(n, random.Random(seed)))
 
 
 def test_enumerator_matches_oracle_sequence():
