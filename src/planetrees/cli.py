@@ -9,22 +9,24 @@ nonempty line, so ``enum`` output pipes straight into ``classify``,
 
 Each stage of a pipe is a fresh interpreter, so each handler imports the
 modules its command runs and this module imports none: the text commands
-load ``tree``, and ``verify`` counts without it.
+load ``tree``, and ``verify`` counts without it.  A well-formed argv is
+read from ``_COMMANDS``; help, errors and ``--n=5`` spellings load argparse.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 import time
+from types import SimpleNamespace
 from typing import Iterator
 
 
 def _operand_lines(operand: str) -> Iterator[str]:
     if operand == "-":
-        # line by line as stdin arrives, so memory does not grow with the pipe
+        # line by line as stdin arrives, so memory does not grow with the pipe;
+        # split at line ends only, as \f or \x1c is a space to both formats
         for line in sys.stdin:
-            for text in line.splitlines():
+            for text in line.rstrip("\n").split("\r"):
                 if text.strip():
                     yield text
     else:
@@ -71,7 +73,8 @@ def _cmd_phi(args) -> int:
     parent, child = _parse_edge_arg(args.edge)
     for line in _operand_lines(args.tree):
         tree = parse_tree(line)
-        print(render_tree(flip_edge(tree, edge_id(tree, parent, child))))
+        out = flip_edge(tree, edge_id(tree, parent, child))
+        sys.stdout.write(render_tree(out) + "\n")
     return 0
 
 
@@ -85,7 +88,7 @@ def _cmd_bij(args) -> int:
             out = to_increasing(tree, rooted=args.rooted)
         else:
             out = from_increasing(tree)
-        print(render_tree(out))
+        sys.stdout.write(render_tree(out) + "\n")
     return 0
 
 
@@ -96,13 +99,14 @@ def _cmd_stirling(args) -> int:
 
     for line in _operand_lines(args.input):
         if args.direction == "to":
-            print(format_permutation(tree_to_stirling(parse_tree(line))))
+            text = format_permutation(tree_to_stirling(parse_tree(line)))
         elif args.direction == "from":
-            print(render_tree(stirling_to_tree(parse_permutation(line))))
+            text = render_tree(stirling_to_tree(parse_permutation(line)))
         else:  # blocks
             seq = parse_permutation(line)
-            pieces = [format_permutation(seq[a:b]) for a, b in blocks(seq)]
-            print("".join(f"[{piece}]" for piece in pieces))
+            text = "".join(f"[{format_permutation(seq[a:b])}]"
+                           for a, b in blocks(seq))
+        sys.stdout.write(text + "\n")
     return 0
 
 
@@ -160,18 +164,16 @@ def _cmd_enum(args) -> int:
                            labeled_trees, root_one_trees)
     from .tree import render_tree
 
-    n = args.n
+    n, text = args.n, render_tree
     if args.family in ("P", "O"):
         _require_bound(n, MAX_LABELED_EDGES, args.force, "labeled trees")
         rooted = args.family == "O"
         visits = _labelings(n, rooted)
         items = root_one_trees(n) if rooted else labeled_trees(n)
-        text = render_tree
     elif args.family == "I":
         _require_bound(n, MAX_INCREASING_EDGES, args.force, "increasing trees")
         visits = _increasing_kids(n)
         items = increasing_trees(n)
-        text = render_tree
     else:
         from .stirling import format_permutation, stirling_permutations
         _require_bound(n, MAX_INCREASING_EDGES, args.force,
@@ -180,10 +182,10 @@ def _cmd_enum(args) -> int:
         text = format_permutation
     if args.count_only:
         # count the kernel's visits: every object is visited, none is built
-        print(sum(1 for _ in visits))
+        sys.stdout.write(f"{sum(1 for _ in visits)}\n")
     else:
         for item in items:
-            print(text(item))
+            sys.stdout.write(text(item) + "\n")
     return 0
 
 
@@ -193,68 +195,96 @@ def _cmd_sample(args) -> int:
 
     maker = sample_labeled_trees if args.family == "P" else sample_increasing_trees
     for tree in maker(args.n, args.seed, args.count):
-        print(render_tree(tree))
+        sys.stdout.write(render_tree(tree) + "\n")
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="planetrees",
-        description="Labeled plane trees, increasing plane trees and "
-                    "Stirling permutations: bijections and exact identity "
-                    "checks.")
+_TREE = ("tree", None, "tree text, or - for stdin")
+# the one grammar: per command its help, handler, positionals (name, choices,
+# help) and options (flag: int or bool for store_true, default, required, help)
+_COMMANDS = {
+    "classify": ("classify each edge as proper or improper", _cmd_classify,
+                 [_TREE], {}),
+    "phi": ("apply the edge involution once", _cmd_phi,
+            [_TREE, ("edge", None, "edge as parent,child")], {}),
+    "bij": ("bijection with increasing plane trees", _cmd_bij,
+            [("direction", ["forward", "inverse"], None), _TREE],
+            {"--rooted": (bool, False, False,
+                          "root-1 mode: mark edges at vertex 1 with t")}),
+    "stirling": ("bijection with Stirling permutations", _cmd_stirling,
+                 [("direction", ["to", "from", "blocks"], None),
+                  ("input", None, "tree text (to) or permutation (from, "
+                                  "blocks); - for stdin")], {}),
+    "verify": ("run the identity checks", _cmd_verify,
+               [("target", ["thm1", "thm2", "counts", "all"], None)],
+               {"--n": (int, None, False, "single n instead of the default sweep"),
+                "--order": (int, None, False, "series truncation order for thm2"),
+                "--force": (bool, False, False, "ignore the feasibility bounds")}),
+    "enum": ("stream a whole family, one per line", _cmd_enum,
+             [("family", ["P", "O", "I", "stirling"], None)],
+             {"--n": (int, None, True, None),
+              "--count-only": (bool, False, False, None),
+              "--force": (bool, False, False, None)}),
+    "sample": ("draw uniform random trees", _cmd_sample,
+               [("family", ["P", "I"], None)],
+               {"--n": (int, None, True, None), "--seed": (int, 0, False, None),
+                "--count": (int, 1, False, None)}),
+}
+
+
+def build_parser():
+    import argparse
+
+    parser = argparse.ArgumentParser(prog="planetrees", description=(
+        "Labeled plane trees, increasing plane trees and Stirling "
+        "permutations: bijections and exact identity checks."))
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("classify", help="classify each edge as proper or improper")
-    p.add_argument("tree", help="tree text, or - for stdin")
-    p.set_defaults(handler=_cmd_classify)
-
-    p = sub.add_parser("phi", help="apply the edge involution once")
-    p.add_argument("tree", help="tree text, or - for stdin")
-    p.add_argument("edge", help="edge as parent,child")
-    p.set_defaults(handler=_cmd_phi)
-
-    p = sub.add_parser("bij", help="bijection with increasing plane trees")
-    p.add_argument("direction", choices=["forward", "inverse"])
-    p.add_argument("tree", help="tree text, or - for stdin")
-    p.add_argument("--rooted", action="store_true",
-                   help="root-1 mode: mark edges at vertex 1 with t")
-    p.set_defaults(handler=_cmd_bij)
-
-    p = sub.add_parser("stirling", help="bijection with Stirling permutations")
-    p.add_argument("direction", choices=["to", "from", "blocks"])
-    p.add_argument("input", help="tree text (to) or permutation (from, blocks); - for stdin")
-    p.set_defaults(handler=_cmd_stirling)
-
-    p = sub.add_parser("verify", help="run the identity checks")
-    p.add_argument("target", choices=["thm1", "thm2", "counts", "all"])
-    p.add_argument("--n", type=int, default=None,
-                   help="single n instead of the default sweep")
-    p.add_argument("--order", type=int, default=None,
-                   help="series truncation order for thm2")
-    p.add_argument("--force", action="store_true",
-                   help="ignore the feasibility bounds")
-    p.set_defaults(handler=_cmd_verify)
-
-    p = sub.add_parser("enum", help="stream a whole family, one per line")
-    p.add_argument("family", choices=["P", "O", "I", "stirling"])
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--count-only", action="store_true")
-    p.add_argument("--force", action="store_true")
-    p.set_defaults(handler=_cmd_enum)
-
-    p = sub.add_parser("sample", help="draw uniform random trees")
-    p.add_argument("family", choices=["P", "I"])
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=1)
-    p.set_defaults(handler=_cmd_sample)
-
+    for command, (text, handler, positionals, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        p.set_defaults(handler=handler)
+        for name, choices, help in positionals:
+            p.add_argument(name, choices=choices, help=help)
+        for flag, (kind, default, required, help) in options.items():
+            how = {"action": "store_true"} if kind is bool else {
+                "type": int, "default": default, "required": required}
+            p.add_argument(flag, help=help, **how)
     return parser
 
 
+def _read_argv(argv):
+    """``build_parser().parse_args(argv)`` for a well-formed argv; None for
+    help, abbreviations, ``--n=5``, ``--``, ``--n -1`` or any error."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, handler, positionals, options = _COMMANDS[argv[0]]
+    values = {flag: default for flag, (_, default, required, _)
+              in options.items() if not required}
+    words, tokens = [], iter(argv[1:])
+    for token in tokens:
+        if token[:1] != "-" or token == "-":
+            words.append(token)
+            continue
+        kind = options.get(token, (None,))[0]
+        text = "" if kind is bool else next(tokens, "-")
+        if kind is None or text[:1] == "-":
+            return None
+        try:
+            values[token] = True if kind is bool else int(text)
+        except ValueError:
+            return None
+    if len(words) != len(positionals) or len(values) != len(options):
+        return None
+    for (name, choices, _), word in zip(positionals, words):
+        if choices is not None and word not in choices:
+            return None
+        values[name] = word
+    return SimpleNamespace(command=argv[0], handler=handler, **{
+        name.lstrip("-").replace("-", "_"): v for name, v in values.items()})
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _read_argv(argv) or build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except BrokenPipeError:

@@ -1,4 +1,6 @@
+import io
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -49,3 +51,32 @@ def cold_memos():
     yield
     for memo in memos:
         memo.cache_clear()
+
+
+def argparse_reading(argv):
+    """vars() of the namespace argparse makes of argv, or None where it
+    exits (help or a usage error); whatever it prints is swallowed."""
+    from planetrees.cli import build_parser
+
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return vars(build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+@pytest.fixture
+def reader_agrees_with_argparse(monkeypatch):
+    """Every argv the test hands ``planetrees.cli.main`` is read by the
+    strict reader and by argparse too: the reader defers or returns
+    argparse's namespace."""
+    from planetrees import cli
+
+    strict = cli._read_argv
+
+    def checked(argv):
+        args = strict(argv)
+        assert args is None or vars(args) == argparse_reading(argv), argv
+        return args
+
+    monkeypatch.setattr(cli, "_read_argv", checked)

@@ -25,6 +25,9 @@ from planetrees.cli import main
 from conftest import (FIG_INCREASING, FIG_LABELED, FIG_TAGGED, FIG_WALK,
                       LONG_NUMERAL, digit_limit)
 
+# the strict argv reader defers to argparse or agrees with it on every argv
+pytestmark = pytest.mark.usefixtures("reader_agrees_with_argparse")
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -245,6 +248,26 @@ def test_stdin_bij_round_trip(capsys, monkeypatch):
     code, out, _ = run(capsys, "bij", "inverse", "-")
     assert code == 0
     assert out == FIG_LABELED + "\n"
+
+
+@pytest.mark.parametrize("argv, text, expected", [
+    (["stirling", "from"], "1 1\x0c2 2", "1(2,3)\n"),
+    (["classify"], "1(2,\x0c3)",
+     "(1,2): proper\n(1,3): proper\nimpr=0 prop=2\n"),
+])
+def test_stdin_splits_only_at_line_ends(capsys, monkeypatch, argv, text,
+                                        expected):
+    # \f, \x1c-\x1e, \x85, \u2028 and the like are whitespace to both text
+    # formats, as in an argv operand, and no line end
+    code, out, _ = run(capsys, *argv, text)
+    assert (code, out) == (0, expected)
+    spaces = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+    for space in spaces:
+        line = text.replace("\x0c", space)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(f"{line}\r\n{line}\r"
+                                                      f"{line}\n"))
+        code, out, err = run(capsys, *argv, "-")
+        assert (code, out, err) == (0, expected * 3, ""), repr(space)
 
 
 # ---- verify ----

@@ -38,6 +38,9 @@ PACKAGE_ROOT = Path(planetrees.__file__).resolve().parents[1]
 # modules no command needs: the polynomial layer takes int scalars only and
 # its records are NamedTuples
 HEAVY = {"fractions", "decimal", "dataclasses", "inspect"}
+# argparse and what it loads: a well-formed argv is read without them, and
+# only help and usage errors need argparse's text
+PARSER = {"argparse", "gettext", "locale", "shutil"}
 # the package modules each command loads besides the package and cli: the
 # text commands load tree, and verify counts without it
 LAYERS = {
@@ -71,12 +74,14 @@ def imports(*args, input=""):
 def assert_loads_its_layers_only(argv, loaded, bare):
     """The package modules a command loaded are the ones its own layers
     need.  Of the modules the bare interpreter lacks, none is heavy, and
-    ``random`` comes only with the samplers."""
+    ``random`` comes only with the samplers, and argparse not at all."""
     package = {m for m in loaded if m.partition(".")[0] == "planetrees"}
     own = LAYERS[argv[0]]
     base = {"planetrees", "planetrees.cli"}
     assert package == base | own, argv
-    unwanted = HEAVY if "planetrees.families" in own else HEAVY | {"random"}
+    unwanted = HEAVY | PARSER
+    if "planetrees.families" not in own:
+        unwanted |= {"random"}
     assert (loaded - bare) & unwanted == set(), argv
 
 
@@ -154,6 +159,21 @@ def loaded_by(statement):
 def test_cli_module_loads_no_other_package_module():
     # every command's layers, tree too, load in its handler
     assert loaded_by("import planetrees.cli") == "['planetrees.cli'] False\n"
+
+
+def test_cli_module_loads_no_argparse():
+    _, _, bare = imports("-c", "pass")
+    _, _, loaded = imports("-c", "import planetrees.cli")
+    assert (loaded - bare) & PARSER == set()
+
+
+def test_help_and_usage_errors_load_argparse():
+    # the positive control: the same reading sees argparse where it is used
+    _, _, bare = imports("-c", "pass")
+    for argv, code in ((["--help"], 0), (["bij", "-h"], 0),
+                       (["enum", "P"], 2), (["enum", "P", "--n=1"], 0)):
+        got, _, loaded = imports("-m", "planetrees", *argv)
+        assert got == code and "argparse" in loaded - bare, argv
 
 
 def test_counting_module_loads_no_other_package_module():

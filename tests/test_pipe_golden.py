@@ -17,6 +17,9 @@ import pytest
 
 from planetrees.cli import main
 
+# the strict argv reader defers to argparse or agrees with it on every argv
+pytestmark = pytest.mark.usefixtures("reader_agrees_with_argparse")
+
 GOLDEN = Path(__file__).resolve().parent / "golden" / "pipe"
 SIZE = ["--n", "30", "--seed", "1", "--count", "200"]
 
@@ -60,13 +63,13 @@ def test_pipe_stdout_matches_golden(chain, capsys, monkeypatch):
         assert text == (GOLDEN / f"{name}.txt").read_text(), name
 
 
-def test_classify_writes_each_record_at_once(monkeypatch):
-    # one write per tree, made before the next line is read: on an
-    # unbuffered stdout every write is a system call of its own
+def writes(argv, source, monkeypatch):
+    """Every write ``main(argv)`` makes to stdout, in order, with a "read"
+    wherever it takes the next line of the golden file ``source``."""
     events = []
 
     def stdin():
-        for line in (GOLDEN / "bij_inverse.txt").read_text().splitlines(True):
+        for line in (GOLDEN / f"{source}.txt").read_text().splitlines(True):
             events.append("read")
             yield line
 
@@ -75,13 +78,36 @@ def test_classify_writes_each_record_at_once(monkeypatch):
             events.append(text)
             return len(text)
 
-    monkeypatch.setattr(sys, "stdin", stdin())
+    if source is not None:
+        monkeypatch.setattr(sys, "stdin", stdin())
     monkeypatch.setattr(sys, "stdout", Stdout())
-    assert main(["classify", "-"]) == 0
+    assert main(argv) == 0
+    return events
+
+
+def test_classify_writes_each_record_at_once(monkeypatch):
+    # one write per tree, made before the next line is read: on an
+    # unbuffered stdout every write is a system call of its own
+    events = writes(["classify", "-"], "bij_inverse", monkeypatch)
     golden = (GOLDEN / "classify.txt").read_text()
     records = re.findall(r"(?:\(.*\n)*impr=.*\n", golden)
     assert len(records) == 200 and "".join(records) == golden
     assert events == [e for record in records for e in ("read", record)]
+
+
+@pytest.mark.parametrize("name, argv, source", [
+    pytest.param(*stage, id=stage[0])
+    for stage in CHAINS["labeled"] + CHAINS["increasing"]
+    if stage[0] in ("bij_forward", "stirling_to", "sample_p")])
+def test_each_output_line_is_one_write(name, argv, source, monkeypatch):
+    # a print is two writes; a stdin stage writes a line before reading on
+    events = writes(argv, source, monkeypatch)
+    lines = (GOLDEN / f"{name}.txt").read_text().splitlines(True)
+    assert len(lines) == 200
+    if source is None:
+        assert events == lines
+    else:
+        assert events == [e for line in lines for e in ("read", line)]
 
 
 # sha256 of whole families' stdout, too long to store as files; a change in
