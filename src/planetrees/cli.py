@@ -111,8 +111,8 @@ def _cmd_stirling(args) -> int:
 
 
 def _report(check: str, ok: bool, detail: str = "") -> int:
-    """Print one verify line, ``<check> PASS|FAIL<detail>``; 1 on a failure."""
-    print(f"{check} {'PASS' if ok else 'FAIL'}{detail}")
+    """Write one verify line, ``<check> PASS|FAIL<detail>``; 1 on a failure."""
+    sys.stdout.write(f"{check} {'PASS' if ok else 'FAIL'}{detail}\n")
     return 0 if ok else 1
 
 
@@ -145,8 +145,8 @@ def _cmd_verify(args) -> int:
         for n in ns:
             report = verify_closed_forms(n, force=args.force)
             if args.n is not None:
-                print(f"P_{n} = {report.labeled}")
-                print(f"O_{n} = {report.rooted}")
+                sys.stdout.write(f"P_{n} = {report.labeled}\n")
+                sys.stdout.write(f"O_{n} = {report.rooted}\n")
             failures += _report(f"thm1 n={n}", report.passed)
     if args.target in ("thm2", "all"):
         report = verify_egf_identities(order, force=args.force)

@@ -6,8 +6,8 @@ live in ``counting``, which needs no tree; this module builds the trees.
 
 Each family is enumerated by a private kernel that visits every object in
 place and builds nothing: ``_labelings`` yields a shape with each labeling,
-``_increasing_kids`` yields the one mutable set of child lists of a
-backtracking walk at each of its leaves.  ``enum --count-only`` counts
+``_increasing_kids`` yields the mutable child lists of each increasing tree.
+``enum --count-only`` counts
 on the kernels, and the polynomial sums need only the shapes;
 :func:`labeled_trees`, :func:`root_one_trees` and
 :func:`increasing_trees` are thin wrappers that build one :class:`PlaneTree`
@@ -15,37 +15,38 @@ per visit, streaming, so memory stays proportional to one tree.  A shape is
 the preorder ``parents`` tuple a :class:`PlaneTree` stores, so a labeled
 tree is a shape and a labels tuple as they stand.  Shapes come from
 ``counting``'s first-subtree decomposition (a shape with n edges is a first
-child's subtree with k edges plus a remaining tree with n-1-k edges),
+child's subtree with k edges plus a remaining tree with n-1-k edges), and
 labelings are the
-lexicographic permutations assigned to vertices in depth-first order, and
-increasing trees are grown by inserting the next label into each of the 2m+1
-child slots of a tree with m edges.  Removing the largest label is
-deterministic, so every increasing tree has exactly one insertion history;
-choosing slots uniformly at random therefore samples uniformly.  Uniform
+lexicographic permutations assigned to vertices in depth-first order.  Uniform
 labeled trees combine a uniform shape (random balanced word via the cycle
 rotation trick) with a uniform labeling.
 
-Increasing trees are grown in place, in one mutable list of children per
-vertex (vertex v carries label v+1): child lists are where leaves are
-inserted, and only there.  One builder, :func:`build_tree`, turns them into
-a :class:`PlaneTree` with edge ids in first-descent order, for the
-enumerator and the sampler.  Slots are numbered depth-first: vertex v with d
+An increasing tree is its insertion history: the vertex labeled m+1 goes
+into one of the 2m-1 child slots of the tree on 1..m, so the tree is a
+tuple (k_1, ..., k_n) with k_m < 2m-1, and removing the largest label
+recovers the last step, so every tree has exactly one history and there are
+(2n-1)!! of them.  One map, :func:`_grow`, turns a history into one mutable
+list of children per vertex (vertex v carries label v+1), and one builder,
+:func:`build_tree`, turns those into a :class:`PlaneTree` with edge ids in
+first-descent order.  Slots are numbered depth-first: vertex v with d
 children owns slots 0..d, its positions among its children, before any slot
-in its subtrees, and a subtree with s edges spans 2s+1 slots.  The kernel
-walks the slots in that order by backtracking (insert, descend, remove).
-The sampler draws slot k with ``rng.randrange(2m-1)`` and keeps the slots
-as one preorder list of their owners, in chunks of about ``_CHUNK`` split
-only between vertices, so a step reads k's owner and inserts into one chunk
-with no subtree sizes and no child scans: linear in n but for the walk to
-k's chunk.
+in its subtrees, and a subtree with s edges spans 2s+1 slots.  The sampler
+grows the history ``rng.randrange(2m-1)``, m = 1..n, so uniform slots give
+a uniform tree.  The enumerator grows each history of the first n-1 steps,
+in lexicographic order, and puts the last vertex into each slot of it in
+turn: it lists the trees in the lexicographic order of their histories.
+``_grow`` keeps the slots as one preorder list of their owners, in chunks
+of about ``_CHUNK`` split only between vertices, so a step reads k's owner
+and inserts into one chunk with no subtree sizes and no child scans: linear
+in n but for the walk to k's chunk.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from itertools import accumulate, islice, permutations
-from typing import Iterator
+from itertools import accumulate, islice, permutations, product
+from typing import Iterable, Iterator
 
 from .tree import PlaneTree
 
@@ -68,6 +69,59 @@ def build_tree(kids: list[list[int]]) -> PlaneTree:
         order.append(v)
     return PlaneTree._trusted(tuple(map(labels.__getitem__, order)),
                               tuple(parents))
+
+
+_CHUNK = 2048  # a chunk past this many slots splits when a draw lands in it
+
+
+def _grow(n: int, draws: Iterable[int]) -> list[list[int]]:
+    """Child lists of the tree grown by an insertion history: the m-th draw
+    k < 2m-1 puts the vertex labeled m+1 into slot k of the tree on 1..m.
+    ``draws`` may stop early; the vertices it never placed stay detached."""
+    # vertex v's block in the slot list is its d+1 slots, v repeated
+    kids: list[list[int]] = [[] for _ in range(n + 1)]
+    head = [0]
+    chunks = [head]
+    where = [head] * (n + 1)  # the chunk holding each vertex's block
+    half = _CHUNK // 2  # up to this step, the 2m-1 slots fit in one chunk
+    for m, k in enumerate(draws, 1):
+        chunk = head
+        if m > half:
+            back = k >= m  # walk the chunks from the nearer end
+            k = 2 * m - 2 - k if back else k
+            for chunk in reversed(chunks) if back else chunks:
+                if k < (size := len(chunk)):
+                    break
+                k -= size
+            k = len(chunk) - 1 - k if back else k
+            if len(chunk) > _CHUNK:  # split at a block start near the middle
+                h = len(chunk) // 2
+                u = chunk[h]
+                h = chunk.index(u, max(h - len(kids[u]), 0)) or len(kids[u]) + 1
+                if h < len(chunk):
+                    tail = chunk[h:]
+                    del chunk[h:]
+                    chunks.insert(chunks.index(chunk) + 1, tail)
+                    for u in tail:
+                        where[u] = tail
+                    if k >= h:
+                        chunk, k = tail, k - h
+        v = chunk[k]
+        here = kids[v]
+        d = len(here)
+        pos = k - chunk.index(v, k - d if k > d else 0) if d else 0
+        chunk.insert(k, v)
+        if pos:  # after the rightmost leaf of the child before m
+            r = here[pos - 1]
+            while kids[r]:
+                r = kids[r][-1]
+            into = where[m] = where[r]
+            into.insert(into.index(r, k if into is chunk else 0) + 1, m)
+        else:  # m is v's first child: its slot follows v's block
+            chunk.insert(k + d + 2, m)
+            where[m] = chunk
+        here.insert(pos, m)
+    return kids
 
 
 # ---- exhaustive enumeration ----
@@ -127,37 +181,22 @@ def _slots(kids: list[list[int]]) -> list[tuple[int, int]]:
 def _increasing_kids(n: int) -> Iterator[list[list[int]]]:
     """Kernel: the children lists of every increasing tree with n edges.
 
-    A backtracking walk over one set of child lists (vertex v carries label
-    v+1): the vertex labeled m+1 goes into each slot of the tree on 1..m in
-    turn, and comes out again once every tree grown from that placement has
-    been visited.  Each visit yields the same mutable lists, valid until the
-    walk resumes.
+    For each history of the first n-1 insertions, in lexicographic order,
+    the tree :func:`_grow` makes of it, with the vertex labeled n+1 put
+    into each of its slots in turn (vertex v carries label v+1).  Each
+    visit yields mutable lists, valid until the walk resumes.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    kids: list[list[int]] = [[] for _ in range(n + 1)]
     if n == 0:
-        yield kids
+        yield [[]]
         return
-    # one frame per placed vertex m = len(stack): its slots and the next one
-    stack = [[_slots(kids), 0]]
-    while stack:
-        frame = stack[-1]
-        slots, k = frame
-        if k:
-            v, pos = slots[k - 1]
-            del kids[v][pos]
-        if k == len(slots):
-            stack.pop()
-            continue
-        frame[1] = k + 1
-        v, pos = slots[k]
-        m = len(stack)
-        kids[v].insert(pos, m)
-        if m == n:
+    for history in product(*map(range, range(1, 2 * n - 2, 2))):
+        kids = _grow(n, history)
+        for v, pos in _slots(kids):
+            kids[v].insert(pos, n)
             yield kids
-        else:
-            stack.append([_slots(kids), 0])
+            del kids[v][pos]
 
 
 def increasing_trees(n: int) -> Iterator[PlaneTree]:
@@ -199,55 +238,8 @@ def _random_labeled_tree(n: int, rng: random.Random) -> PlaneTree:
     return PlaneTree._trusted(tuple(labels), tuple(parents))
 
 
-_CHUNK = 2048  # a chunk past this many slots splits when a draw lands in it
-
-
 def _random_increasing_tree(n: int, rng: random.Random) -> PlaneTree:
-    # the same depth-first slot numbering as the enumerator, so that a seed
-    # picks the same tree; vertex v's block is its d+1 slots, v repeated
-    kids: list[list[int]] = [[] for _ in range(n + 1)]
-    head = [0]
-    chunks = [head]
-    where = [head] * (n + 1)  # the chunk holding each vertex's block
-    half = _CHUNK // 2  # up to this step, the 2m-1 slots fit in one chunk
-    for m, k in enumerate(map(rng.randrange, range(1, 2 * n, 2)), 1):
-        chunk = head
-        if m > half:
-            back = k >= m  # walk the chunks from the nearer end
-            k = 2 * m - 2 - k if back else k
-            for chunk in reversed(chunks) if back else chunks:
-                if k < (size := len(chunk)):
-                    break
-                k -= size
-            k = len(chunk) - 1 - k if back else k
-            if len(chunk) > _CHUNK:  # split at a block start near the middle
-                h = len(chunk) // 2
-                u = chunk[h]
-                h = chunk.index(u, max(h - len(kids[u]), 0)) or len(kids[u]) + 1
-                if h < len(chunk):
-                    tail = chunk[h:]
-                    del chunk[h:]
-                    chunks.insert(chunks.index(chunk) + 1, tail)
-                    for u in tail:
-                        where[u] = tail
-                    if k >= h:
-                        chunk, k = tail, k - h
-        v = chunk[k]
-        here = kids[v]
-        d = len(here)
-        pos = k - chunk.index(v, k - d if k > d else 0) if d else 0
-        chunk.insert(k, v)
-        if pos:  # after the rightmost leaf of the child before m
-            r = here[pos - 1]
-            while kids[r]:
-                r = kids[r][-1]
-            into = where[m] = where[r]
-            into.insert(into.index(r, k if into is chunk else 0) + 1, m)
-        else:  # m is v's first child: its slot follows v's block
-            chunk.insert(k + d + 2, m)
-            where[m] = chunk
-        here.insert(pos, m)
-    return build_tree(kids)
+    return build_tree(_grow(n, map(rng.randrange, range(1, 2 * n, 2))))
 
 
 def sample_labeled_tree(n: int, seed: int) -> PlaneTree:

@@ -28,6 +28,22 @@ digit_limit = pytest.mark.skipif(
     reason="int() reads a numeral of 5000 digits here")
 
 
+class Draws:
+    """A stand-in for ``random.Random`` that draws a scripted history:
+    ``randrange(stop)`` returns the next value, and refuses one that is not
+    below ``stop`` or a history that has run out."""
+
+    def __init__(self, history):
+        self._values = iter(history)
+
+    def randrange(self, stop):
+        # a StopIteration here would end the caller's map() quietly
+        value = next(self._values, None)
+        if value is None or not 0 <= value < stop:
+            raise ValueError(f"scripted draw {value} is not in range({stop})")
+        return value
+
+
 @pytest.fixture
 def fig_labeled():
     return FIG_LABELED

@@ -5,6 +5,7 @@ import hashlib
 import math
 import time
 from collections import Counter
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -27,7 +28,10 @@ from planetrees import (
     sample_labeled_trees,
     stirling_permutations,
 )
-from planetrees.families import _increasing_kids, _slots
+from planetrees.families import (_increasing_kids, _random_increasing_tree,
+                                 _slots)
+
+from conftest import Draws
 
 
 def test_catalan_values():
@@ -137,6 +141,13 @@ def test_increasing_growth_covers_every_slot():
         assert is_increasing(tree)
 
 
+def test_enum_grows_deep_trees_without_recursion():
+    # the all-zero history puts each label in front of the last: a star
+    first = next(increasing_trees(2000))
+    assert render_tree(first) == (
+        "1(" + ",".join(map(str, range(2001, 1, -1))) + ")")
+
+
 # ---- samplers ----
 
 def test_samplers_are_deterministic():
@@ -146,6 +157,15 @@ def test_samplers_are_deterministic():
     c = [render_tree(t) for t in sample_increasing_trees(8, 31, 6)]
     d = [render_tree(t) for t in sample_increasing_trees(8, 31, 6)]
     assert c == d
+
+
+def test_sampler_and_enumerator_share_the_history_map():
+    # the sampler fed every insertion history in lexicographic order draws
+    # the enumeration, tree for tree
+    for n in range(6):
+        histories = product(*map(range, range(1, 2 * n, 2)))
+        assert ([_random_increasing_tree(n, Draws(h)) for h in histories]
+                == list(increasing_trees(n)))
 
 
 def test_different_seeds_differ():

@@ -110,6 +110,17 @@ def test_each_output_line_is_one_write(name, argv, source, monkeypatch):
         assert events == [e for line in lines for e in ("read", line)]
 
 
+@pytest.mark.parametrize("argv, lines", [
+    (["verify", "thm1", "--n", "2"], ["P_2 = 3x^2 + 6xy + 3y^2\n",
+                                      "O_2 = 2t^2 + tx + ty\n",
+                                      "thm1 n=2 PASS\n"]),
+    (["verify", "counts", "--n", "1"], ["counts P n=1 PASS 2 = 2 = 2\n",
+                                        "counts I n=1 PASS 1 = 1\n"]),
+])
+def test_verify_writes_each_line_at_once(argv, lines, monkeypatch):
+    assert writes(argv, None, monkeypatch) == lines
+
+
 # sha256 of whole families' stdout, too long to store as files; a change in
 # shape, labeling or insertion order changes the digest
 ENUM_SHA256 = {

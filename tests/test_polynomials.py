@@ -85,6 +85,8 @@ def test_rendering_goldens():
     assert str(2 * T ** 2 + T * X + T * Y) == "2t^2 + tx + ty"
     assert str(Polynomial.constant(7)) == "7"
     assert str(T * X ** 2) == "tx^2"
+    assert str(Y - X) == "-x + y"
+    assert str(-T) == "-t"
 
 
 def test_rendering_orders_t_then_x_then_y():

@@ -78,6 +78,8 @@ FAULTS = [
     ("1(2:x,3)", "either all edges or none must be tagged", 6),
     ("1(2:)", "expected tag x, y, or t", 4),
     ("1(2(3)(4))", "expected ',' or ')'", 6),  # "(" straight after ")"
+    ("1(2)3", "unexpected trailing input", 4),  # a label straight after ")"
+    ("1(2(3)4)", "expected ',' or ')'", 6),
 ]
 
 
