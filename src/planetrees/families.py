@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import math
 import random
-from itertools import accumulate, islice, permutations, product
+from itertools import accumulate, islice, permutations
 from typing import Iterable, Iterator
 
 from .tree import PlaneTree
@@ -191,12 +191,22 @@ def _increasing_kids(n: int) -> Iterator[list[list[int]]]:
     if n == 0:
         yield [[]]
         return
-    for history in product(*map(range, range(1, 2 * n - 2, 2))):
+    # one history stepped in place as an odometer, the last digit fastest:
+    # digit m (from 0) has radix 2m+1, and no step holds more than n-1 ints
+    history = [0] * (n - 1)
+    while True:
         kids = _grow(n, history)
         for v, pos in _slots(kids):
             kids[v].insert(pos, n)
             yield kids
             del kids[v][pos]
+        for m in range(n - 2, -1, -1):
+            if history[m] < 2 * m:
+                history[m] += 1
+                break
+            history[m] = 0
+        else:
+            return
 
 
 def increasing_trees(n: int) -> Iterator[PlaneTree]:

@@ -1,6 +1,7 @@
 """Command-line behavior: exact output, exit codes, stdin handling,
 pipe compatibility."""
 
+import gc
 import io
 import math
 import os
@@ -559,12 +560,16 @@ def test_sample_rejects_negative_n(capsys, family):
 PACKAGE_ROOT = Path(planetrees.__file__).resolve().parents[1]
 
 
-def run_cli(*argv, input=None):
+def child_env(**overrides):
     inherited = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(PACKAGE_ROOT)] + ([inherited] if inherited else [])))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(PACKAGE_ROOT)] + ([inherited] if inherited else [])), **overrides)
+
+
+def run_cli(*argv, input=None):
     return subprocess.run([sys.executable, "-m", "planetrees", *argv],
-                          input=input, capture_output=True, text=True, env=env)
+                          input=input, capture_output=True, text=True,
+                          env=child_env())
 
 
 def run_pipe(*stages):
@@ -605,3 +610,67 @@ def test_script_verify_exit_zero():
 def test_script_usage_error_exit_two():
     proc = run_cli("frobnicate")
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_reader_closing_the_pipe_ends_the_process_quietly(unbuffered):
+    # a reader that stops after one line (`| head -1`): the next write
+    # breaks the pipe, and the process exits 0 with nothing on stderr
+    env = child_env(PYTHONUNBUFFERED=unbuffered)
+    with subprocess.Popen([sys.executable, "-m", "planetrees", "enum", "P",
+                           "--n", "5"], stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, env=env) as proc:
+        try:
+            assert proc.stdout.readline() == b"1(2,3,4,5,6)\n"
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 0
+            assert proc.stderr.read() == b""
+        finally:
+            proc.kill()
+
+
+# ---- the process entry ----
+
+def test_run_freezes_the_heap_once_before_any_output(monkeypatch):
+    events = []
+
+    class Stdout:
+        def write(self, text):
+            events.append("write")
+            return len(text)
+
+    monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+    monkeypatch.setattr(sys, "stdout", Stdout())
+    monkeypatch.setattr(sys, "argv",
+                        ["planetrees", "verify", "counts", "--n", "0"])
+    assert planetrees.cli.run() == 0
+    assert events == ["freeze", "write", "write"]
+
+
+def test_main_freezes_nothing(capsys):
+    # tests, library callers and in-process benchmarks keep their own heap
+    frozen = gc.get_freeze_count()
+    for argv in (["verify", "counts", "--n", "0"], ["classify", "1(2)"],
+                 ["enum", "I", "--n", "2"]):
+        assert main(argv) == 0
+        assert gc.get_freeze_count() == frozen, argv
+    capsys.readouterr()
+
+
+ATEXIT_THEN_RUN = """
+import atexit, sys
+from planetrees.cli import run
+atexit.register(lambda: sys.stderr.write("atexit ran\\n"))
+sys.argv = ["planetrees", "classify", "1(2)"]
+sys.exit(run())
+"""
+
+
+def test_run_exits_through_the_interpreter():
+    # run() returns its code and leaves the exit to Python, so atexit
+    # handlers run and stdio is flushed
+    proc = subprocess.run([sys.executable, "-c", ATEXIT_THEN_RUN],
+                          capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0
+    assert proc.stdout == "(1,2): proper\nimpr=0 prop=1\n"
+    assert proc.stderr == "atexit ran\n"

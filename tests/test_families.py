@@ -4,6 +4,7 @@ tree families."""
 import hashlib
 import math
 import time
+import tracemalloc
 from collections import Counter
 from itertools import product
 
@@ -146,6 +147,15 @@ def test_enum_grows_deep_trees_without_recursion():
     first = next(increasing_trees(2000))
     assert render_tree(first) == (
         "1(" + ",".join(map(str, range(2001, 1, -1))) + ")")
+    # the first tree costs memory in proportion to n, not to the n^2 digits
+    # of every history's ranges (about 140 MB were they all built at once)
+    tracemalloc.start()
+    try:
+        next(_increasing_kids(2000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 # ---- samplers ----

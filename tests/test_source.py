@@ -42,6 +42,26 @@ def test_no_function_calls_itself():
     assert found == []
 
 
+def test_every_process_entry_goes_through_run():
+    # python -m planetrees, python -m planetrees.cli and the console script
+    # all freeze the start-up heap; main() itself never does
+    def called(nodes):
+        return {node.func.id for tree in nodes for node in ast.walk(tree)
+                if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)}
+
+    package = Path(planetrees.__file__).parent
+    dunder_main = ast.parse((package / "__main__.py").read_text())
+    assert called(dunder_main.body) == {"run"}
+    guard, = [node for node in ast.parse((package / "cli.py").read_text()).body
+              if isinstance(node, ast.If)
+              and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert called(guard.body) == {"run"}
+    scripts = re.search(r"^\[project\.scripts\]\n(.*)$",
+                        (ROOT / "pyproject.toml").read_text(), re.M)
+    assert scripts[1] == 'planetrees = "planetrees.cli:run"'
+
+
 def test_package_keeps_what_the_benchmark_reads():
     # perfbench/spans.py looks every LAYER_OF name up on the package on each
     # run, and the workloads read the rest; read the table without importing
