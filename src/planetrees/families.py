@@ -31,14 +31,19 @@ list of children per vertex (vertex v carries label v+1), and one builder,
 first-descent order.  Slots are numbered depth-first: vertex v with d
 children owns slots 0..d, its positions among its children, before any slot
 in its subtrees, and a subtree with s edges spans 2s+1 slots.  The sampler
-grows the history ``rng.randrange(2m-1)``, m = 1..n, so uniform slots give
+grows a history of uniform draws below 2m-1, m = 1..n, so uniform slots give
 a uniform tree.  The enumerator grows each history of the first n-1 steps,
 in lexicographic order, and puts the last vertex into each slot of it in
 turn: it lists the trees in the lexicographic order of their histories.
 ``_grow`` keeps the slots as one preorder list of their owners, in chunks
-of about ``_CHUNK`` split only between vertices, so a step reads k's owner
-and inserts into one chunk with no subtree sizes and no child scans: linear
-in n but for the walk to k's chunk.
+split only between vertices, so a step reads k's owner and inserts into one
+chunk with no subtree sizes and no child scans: linear in n but for the walk
+to k's chunk.  A chunk holds up to ``_chunk_limit(n)``, about 4 sqrt(2n)
+slots, so the ``insert`` memmove and the chunk walk cost alike, and a tree
+with n <= 128 grows in one chunk.
+
+Both samplers draw through :func:`_below`, from ``rng.getrandbits`` alone:
+the values ``randrange`` and ``shuffle`` draw on CPython 3.11.
 """
 
 from __future__ import annotations
@@ -71,7 +76,11 @@ def build_tree(kids: list[list[int]]) -> PlaneTree:
                               tuple(parents))
 
 
-_CHUNK = 2048  # a chunk past this many slots splits when a draw lands in it
+def _chunk_limit(n: int) -> int:
+    """Slots a chunk may hold before a draw landing in it splits it: about
+    4 sqrt(2n), balancing the ``insert`` memmove against the chunk walk, and
+    never below 256, so a tree with n <= 128 grows in one chunk."""
+    return max(256, 4 * math.isqrt(2 * n))
 
 
 def _grow(n: int, draws: Iterable[int]) -> list[list[int]]:
@@ -83,7 +92,8 @@ def _grow(n: int, draws: Iterable[int]) -> list[list[int]]:
     head = [0]
     chunks = [head]
     where = [head] * (n + 1)  # the chunk holding each vertex's block
-    half = _CHUNK // 2  # up to this step, the 2m-1 slots fit in one chunk
+    limit = _chunk_limit(n)
+    half = limit // 2  # up to this step, the 2m-1 slots fit in one chunk
     for m, k in enumerate(draws, 1):
         chunk = head
         if m > half:
@@ -94,7 +104,7 @@ def _grow(n: int, draws: Iterable[int]) -> list[list[int]]:
                     break
                 k -= size
             k = len(chunk) - 1 - k if back else k
-            if len(chunk) > _CHUNK:  # split at a block start near the middle
+            if len(chunk) > limit:  # split at a block start near the middle
                 h = len(chunk) // 2
                 u = chunk[h]
                 h = chunk.index(u, max(h - len(kids[u]), 0)) or len(kids[u]) + 1
@@ -217,6 +227,27 @@ def increasing_trees(n: int) -> Iterator[PlaneTree]:
 
 # ---- uniform sampling ----
 
+def _below(rng: random.Random, stops: Iterable[int]) -> Iterator[int]:
+    """One uniform draw below each stop, from ``rng.getrandbits`` alone:
+    ``stop.bit_length()`` bits, redrawn while not below ``stop``, which is
+    how ``rng.randrange(stop)`` draws, so the values are the same."""
+    bits = rng.getrandbits
+    for stop in stops:
+        k = stop.bit_length()
+        r = bits(k)
+        while r >= stop:
+            r = bits(k)
+        yield r
+
+
+def _shuffle(x: list, rng: random.Random) -> None:
+    """``rng.shuffle(x)``'s permutation, drawn through :func:`_below`."""
+    # Fisher-Yates from the last item down: item i swaps with one of 0..i
+    top = range(len(x) - 1, 0, -1)
+    for i, j in zip(top, _below(rng, range(len(x), 1, -1))):
+        x[i], x[j] = x[j], x[i]
+
+
 def _random_shape_parents(n: int, rng: random.Random) -> list[int]:
     """Preorder parents of a uniform shape with n edges."""
     # a uniform word of n up-steps and n+1 down-steps, rotated to start just
@@ -224,7 +255,7 @@ def _random_shape_parents(n: int, rng: random.Random) -> list[int]:
     # final down-step (cycle lemma: each rotation class of size 2n+1 holds
     # exactly one such word)
     steps = [1] * n + [-1] * (n + 1)
-    rng.shuffle(steps)
+    _shuffle(steps, rng)
     sums = list(accumulate(steps))
     cut = sums.index(min(sums))
     word = steps[cut + 1:] + steps[:cut + 1]
@@ -244,12 +275,12 @@ def _random_shape_parents(n: int, rng: random.Random) -> list[int]:
 def _random_labeled_tree(n: int, rng: random.Random) -> PlaneTree:
     parents = _random_shape_parents(n, rng)
     labels = list(range(1, n + 2))
-    rng.shuffle(labels)
+    _shuffle(labels, rng)
     return PlaneTree._trusted(tuple(labels), tuple(parents))
 
 
 def _random_increasing_tree(n: int, rng: random.Random) -> PlaneTree:
-    return build_tree(_grow(n, map(rng.randrange, range(1, 2 * n, 2))))
+    return build_tree(_grow(n, _below(rng, range(1, 2 * n, 2))))
 
 
 def sample_labeled_tree(n: int, seed: int) -> PlaneTree:

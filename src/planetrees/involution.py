@@ -84,26 +84,30 @@ def _flip_in_order(tree: PlaneTree, positions: list[int],
         prev[b_first], prev[c_first], prev[a_first] = i, hi, hj
         edge[i], edge[j] = edge[j], edge[i]
     # the output in preorder: descend to first children, climb at headers
-    order: list[int] = []
+    labels = tree.labels
+    out_labels: list[int] = []
     out_parents: list[int] = []
-    above: list[int] = []  # output positions of the current ancestors
-    v = next_[2 * count]
+    out_edges: list[int] = []
+    # output positions of the current ancestors, over the root's parent -1
+    above = [-1]
+    end = 2 * count
+    v = next_[end]
     while True:
-        out_parents.append(above[-1] if above else -1)
-        order.append(v)
+        out_labels.append(labels[v])
+        out_parents.append(above[-1])
+        out_edges.append(edge[v])
         if next_[v + count] != v + count:
-            above.append(len(order) - 1)
+            above.append(len(out_parents) - 1)
             v = next_[v + count]
             continue
         v = next_[v]
-        while v >= count and above:
+        while count <= v < end:  # a vertex's list header: climb
             above.pop()
             v = next_[v - count]
-        if v >= count:
+        if v == end:
             break
-    return PlaneTree._trusted(tuple(map(tree.labels.__getitem__, order)),
-                              tuple(out_parents),
-                              tuple(map(edge.__getitem__, order)), tags)
+    return PlaneTree._trusted(tuple(out_labels), tuple(out_parents),
+                              tuple(out_edges), tags)
 
 
 def flip_edge(tree: PlaneTree, edge: int) -> PlaneTree:

@@ -30,17 +30,18 @@ digit_limit = pytest.mark.skipif(
 
 class Draws:
     """A stand-in for ``random.Random`` that draws a scripted history:
-    ``randrange(stop)`` returns the next value, and refuses one that is not
-    below ``stop`` or a history that has run out."""
+    ``getrandbits(k)`` returns the next value, and refuses one of more than
+    k bits or a history that has run out."""
 
     def __init__(self, history):
         self._values = iter(history)
 
-    def randrange(self, stop):
-        # a StopIteration here would end the caller's map() quietly
+    def getrandbits(self, k):
+        # refused by name: a StopIteration inside the drawing generator
+        # would surface as a bare RuntimeError
         value = next(self._values, None)
-        if value is None or not 0 <= value < stop:
-            raise ValueError(f"scripted draw {value} is not in range({stop})")
+        if value is None or not 0 <= value < 2 ** k:
+            raise ValueError(f"scripted draw {value} has more than {k} bits")
         return value
 
 

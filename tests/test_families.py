@@ -3,6 +3,7 @@ tree families."""
 
 import hashlib
 import math
+import random
 import time
 import tracemalloc
 from collections import Counter
@@ -29,8 +30,10 @@ from planetrees import (
     sample_labeled_trees,
     stirling_permutations,
 )
-from planetrees.families import (_increasing_kids, _random_increasing_tree,
-                                 _slots)
+from planetrees import families
+from planetrees.families import (_below, _chunk_limit, _grow,
+                                 _increasing_kids, _random_increasing_tree,
+                                 _random_labeled_tree, _shuffle, _slots)
 
 from conftest import Draws
 
@@ -176,6 +179,62 @@ def test_sampler_and_enumerator_share_the_history_map():
         histories = product(*map(range, range(1, 2 * n, 2)))
         assert ([_random_increasing_tree(n, Draws(h)) for h in histories]
                 == list(increasing_trees(n)))
+
+
+def test_below_draws_what_randrange_draws():
+    # the sampler's stops, then 1, powers of two and their neighbours, and
+    # stops wider than one 32-bit word
+    stops = [*range(1, 80, 2), 1, 1, 2, 3, 4, 5, 63, 64, 65, 255, 256, 257,
+             2**32 - 1, 2**32, 2**32 + 1, 2**70 + 3]
+    for seed in range(200):
+        rng = random.Random(seed)
+        assert (list(_below(random.Random(seed), stops))
+                == [rng.randrange(stop) for stop in stops])
+
+
+def test_shuffle_draws_what_random_shuffle_draws():
+    for seed in range(200):
+        for length in range(131):
+            got, expected = list(range(length)), list(range(length))
+            _shuffle(got, random.Random(seed))
+            random.Random(seed).shuffle(expected)
+            assert got == expected, (seed, length)
+
+
+class _BitsOnly:
+    """``random.Random`` cut down to ``getrandbits``: reading any other
+    attribute raises ``AttributeError``."""
+
+    def __init__(self, rng):
+        self.getrandbits = rng.getrandbits
+
+
+def test_samplers_read_only_getrandbits():
+    for n in (0, 1, 2, 5, 30, 200):
+        for seed in range(20):
+            for draw in (_random_labeled_tree, _random_increasing_tree):
+                assert (draw(n, _BitsOnly(random.Random(seed)))
+                        == draw(n, random.Random(seed)))
+
+
+@pytest.mark.parametrize("n", [127, 128, 129, 257, 1000, 3000])
+def test_chunk_limit_is_invisible(monkeypatch, n):
+    # 10^9 keeps one chunk throughout; a limit of 8 splits chunks from the
+    # fifth step on and leaves blocks too long to split
+    for seed in range(3):
+        rng = random.Random(seed)
+        history = [rng.randrange(stop) for stop in range(1, 2 * n, 2)]
+        grown = []
+        for limit in (10**9, _chunk_limit(n), 64, 8):
+            monkeypatch.setattr(families, "_chunk_limit", lambda n: limit)
+            grown.append(_grow(n, history))
+        assert all(kids == grown[0] for kids in grown), seed
+
+
+def test_chunk_limit_holds_small_trees_in_one_chunk():
+    # _grow walks chunks only past step limit // 2, so up to n = 128 the
+    # pipe's trees and the enumerator's never reach the chunk walk
+    assert all(_chunk_limit(n) >= 2 * n for n in range(129))
 
 
 def test_different_seeds_differ():

@@ -270,7 +270,7 @@ def test_sampler_matches_scan_descent(n):
 def test_sampler_matches_scan_descent_across_chunk_splits(monkeypatch):
     # chunks of at most about 8 slots split again and again from n = 5 on,
     # and a vertex with 8 or more children has a block too long to split
-    monkeypatch.setattr(families, "_CHUNK", 8)
+    monkeypatch.setattr(families, "_chunk_limit", lambda n: 8)
     for n in range(301):
         for seed in range(3):
             assert (sample_increasing_tree(n, seed)
