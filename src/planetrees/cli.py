@@ -2,10 +2,11 @@
 
 Exit codes: 0 success (all verifications passed), 1 a verification found a
 mismatch, 2 usage or parse error.  Wherever a tree or permutation operand
-is expected, "-" reads standard input instead and processes every
-nonempty line, so ``enum`` output pipes straight into ``classify``,
-``bij`` or ``stirling``.  All stdout is deterministic for a fixed argv
-(and seed); timing goes to stderr.
+is expected, "-" reads standard input instead and processes every nonempty
+line, so ``enum`` output pipes straight into ``classify``, ``bij`` or
+``stirling``.  :func:`_write_lines` writes each stdout line in one write,
+and writes line k before it reads line k+1.  All stdout is deterministic
+for a fixed argv (and seed); timing goes to stderr.
 
 Each stage of a pipe is a fresh interpreter, so each handler imports the
 modules its command runs and this module imports none: the text commands
@@ -56,21 +57,29 @@ def _parse_edge_arg(text: str) -> tuple[int, int]:
     return tuple(labels)
 
 
+def _write_lines(items, *steps) -> int:
+    for step in steps:
+        items = map(step, items)
+    write = sys.stdout.write
+    for text in items:
+        write(text + "\n")
+    return 0
+
+
 def _cmd_classify(args) -> int:
     from .tree import EdgeStatus, _improper_flags, edge_list, parse_tree
 
     names = {True: EdgeStatus.IMPROPER.value, False: EdgeStatus.PROPER.value}
-    for line in _operand_lines(args.tree):
-        tree = parse_tree(line)
+
+    def record(tree):
         improper = _improper_flags(tree)
         count = sum(improper)
         edges = zip(edge_list(tree), improper[1:])
-        record = [f"({parent},{child}): {names[flag]}\n"
-                  for (_, parent, child), flag in edges]
-        record.append(f"impr={count} prop={tree.edge_count - count}\n")
-        # one write per tree: on an unbuffered stdout each print is two writes
-        sys.stdout.write("".join(record))
-    return 0
+        lines = [f"({parent},{child}): {names[flag]}\n"
+                 for (_, parent, child), flag in edges]
+        lines.append(f"impr={count} prop={tree.edge_count - count}")
+        return "".join(lines)
+    return _write_lines(_operand_lines(args.tree), parse_tree, record)
 
 
 def _cmd_phi(args) -> int:
@@ -78,25 +87,21 @@ def _cmd_phi(args) -> int:
     from .tree import edge_id, parse_tree, render_tree
 
     parent, child = _parse_edge_arg(args.edge)
-    for line in _operand_lines(args.tree):
-        tree = parse_tree(line)
-        out = flip_edge(tree, edge_id(tree, parent, child))
-        sys.stdout.write(render_tree(out) + "\n")
-    return 0
+
+    def flip(tree):
+        return flip_edge(tree, edge_id(tree, parent, child))
+    return _write_lines(_operand_lines(args.tree), parse_tree, flip,
+                        render_tree)
 
 
 def _cmd_bij(args) -> int:
     from .involution import from_increasing, to_increasing
     from .tree import parse_tree, render_tree
 
-    for line in _operand_lines(args.tree):
-        tree = parse_tree(line)
-        if args.direction == "forward":
-            out = to_increasing(tree, rooted=args.rooted)
-        else:
-            out = from_increasing(tree)
-        sys.stdout.write(render_tree(out) + "\n")
-    return 0
+    step = (from_increasing if args.direction == "inverse"
+            else lambda tree: to_increasing(tree, rooted=args.rooted))
+    return _write_lines(_operand_lines(args.tree), parse_tree, step,
+                        render_tree)
 
 
 def _cmd_stirling(args) -> int:
@@ -104,22 +109,16 @@ def _cmd_stirling(args) -> int:
                            stirling_to_tree, tree_to_stirling)
     from .tree import parse_tree, render_tree
 
-    for line in _operand_lines(args.input):
-        if args.direction == "to":
-            text = format_permutation(tree_to_stirling(parse_tree(line)))
-        elif args.direction == "from":
-            text = render_tree(stirling_to_tree(parse_permutation(line)))
-        else:  # blocks
-            seq = parse_permutation(line)
-            text = "".join(f"[{format_permutation(seq[a:b])}]"
-                           for a, b in blocks(seq))
-        sys.stdout.write(text + "\n")
-    return 0
+    steps = {"to": (parse_tree, tree_to_stirling, format_permutation),
+             "from": (parse_permutation, stirling_to_tree, render_tree),
+             "blocks": (parse_permutation, lambda seq: "".join(
+                 f"[{format_permutation(seq[a:b])}]" for a, b in blocks(seq)))}
+    return _write_lines(_operand_lines(args.input), *steps[args.direction])
 
 
 def _report(check: str, ok: bool, detail: str = "") -> int:
     """Write one verify line, ``<check> PASS|FAIL<detail>``; 1 on a failure."""
-    sys.stdout.write(f"{check} {'PASS' if ok else 'FAIL'}{detail}\n")
+    _write_lines([f"{check} {'PASS' if ok else 'FAIL'}{detail}"])
     return 0 if ok else 1
 
 
@@ -152,8 +151,8 @@ def _cmd_verify(args) -> int:
         for n in ns:
             report = verify_closed_forms(n, force=args.force)
             if args.n is not None:
-                sys.stdout.write(f"P_{n} = {report.labeled}\n")
-                sys.stdout.write(f"O_{n} = {report.rooted}\n")
+                _write_lines([f"P_{n} = {report.labeled}",
+                              f"O_{n} = {report.rooted}"])
             failures += _report(f"thm1 n={n}", report.passed)
     if args.target in ("thm2", "all"):
         report = verify_egf_identities(order, force=args.force)
@@ -189,11 +188,8 @@ def _cmd_enum(args) -> int:
         text = format_permutation
     if args.count_only:
         # count the kernel's visits: every object is visited, none is built
-        sys.stdout.write(f"{sum(1 for _ in visits)}\n")
-    else:
-        for item in items:
-            sys.stdout.write(text(item) + "\n")
-    return 0
+        return _write_lines([str(sum(1 for _ in visits))])
+    return _write_lines(items, text)
 
 
 def _cmd_sample(args) -> int:
@@ -201,9 +197,7 @@ def _cmd_sample(args) -> int:
     from .tree import render_tree
 
     maker = sample_labeled_trees if args.family == "P" else sample_increasing_trees
-    for tree in maker(args.n, args.seed, args.count):
-        sys.stdout.write(render_tree(tree) + "\n")
-    return 0
+    return _write_lines(maker(args.n, args.seed, args.count), render_tree)
 
 
 _TREE = ("tree", None, "tree text, or - for stdin")

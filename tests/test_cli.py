@@ -230,6 +230,28 @@ def test_classify_names_the_position_of_a_label_with_too_many_digits(
     assert err == "error: label has too many digits (at position 4)\n"
 
 
+@pytest.mark.parametrize("argv, text, out, err", [
+    (["phi", "-", "1,2"], "1(2,3)\n2(1)\n1(2)\n", "2(1(3))\n",
+     "no edge (1,2)"),
+    (["bij", "forward", "-"], "2(1)\n1(2\n1(2)\n", "1(2:x)\n",
+     "expected ',' or ')' (at position 3)"),
+    (["bij", "inverse", "-"], "1(2:x)\n2(1)\n1(2)\n", "2(1)\n",
+     "input tree is not increasing"),
+    (["stirling", "to", "-"], "1(2)\n2(1)\n1(2)\n", "1 1\n",
+     "not an increasing tree"),
+    (["stirling", "from", "-"], "1 1\n1 2\n1 1\n", "1(2)\n",
+     "not a Stirling permutation"),
+    (["stirling", "blocks", "-"], "1 1\n1 1 2\n1 1\n", "[1 1]\n",
+     "not a Stirling permutation"),
+], ids=["phi", "bij_forward", "bij_inverse", "stirling_to", "stirling_from",
+        "stirling_blocks"])
+def test_a_faulty_stdin_line_ends_the_stage_after_the_lines_before(
+        capsys, monkeypatch, argv, text, out, err):
+    # line 1 is written before line 2 is read; line 3 is never reached
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert run(capsys, *argv) == (2, out, f"error: {err}\n")
+
+
 class LineOnlyStdin(io.StringIO):
     """A stdin that can only be read line by line."""
 

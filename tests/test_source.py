@@ -62,6 +62,28 @@ def test_every_process_entry_goes_through_run():
     assert scripts[1] == 'planetrees = "planetrees.cli:run"'
 
 
+def test_cli_writes_stdout_in_one_place():
+    # one loop writes every stdout line, one write each; a handler with a
+    # loop of its own would restate that rule, and a print is two writes
+    path = Path(planetrees.__file__).parent / "cli.py"
+    tree = ast.parse(path.read_text(), str(path))
+
+    def writes(node):
+        return [n.lineno for n in ast.walk(node)
+                if isinstance(n, ast.Attribute)
+                and ast.unparse(n) == "sys.stdout.write"]
+
+    runner, = [node for node in tree.body
+               if isinstance(node, ast.FunctionDef)
+               and node.name == "_write_lines"]
+    assert len(writes(tree)) == 1
+    assert writes(runner) == writes(tree)
+    prints = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+              and ast.unparse(node.func) == "print"]
+    assert prints
+    assert all("file=sys.stderr" in ast.unparse(node) for node in prints)
+
+
 def test_package_keeps_what_the_benchmark_reads():
     # perfbench/spans.py looks every LAYER_OF name up on the package on each
     # run, and the workloads read the rest; read the table without importing
