@@ -32,15 +32,15 @@ first-descent order.  Slots are numbered depth-first: vertex v with d
 children owns slots 0..d, its positions among its children, before any slot
 in its subtrees, and a subtree with s edges spans 2s+1 slots.  The sampler
 grows a history of uniform draws below 2m-1, m = 1..n, so uniform slots give
-a uniform tree.  The enumerator grows each history of the first n-1 steps,
-in lexicographic order, and puts the last vertex into each slot of it in
-turn: it lists the trees in the lexicographic order of their histories.
-``_grow`` keeps the slots as one preorder list of their owners, in chunks
-split only between vertices, so a step reads k's owner and inserts into one
-chunk with no subtree sizes and no child scans: linear in n but for the walk
-to k's chunk.  A chunk holds up to ``_chunk_limit(n)``, about 4 sqrt(2n)
-slots, so the ``insert`` memmove and the chunk walk cost alike, and a tree
-with n <= 128 grows in one chunk.
+a uniform tree.  ``_grow`` keeps the slots as one preorder list of their
+owners, in chunks split only between vertices, so a step reads k's owner and
+inserts into one chunk with no subtree sizes and no child scans: linear in n
+but for the walk to k's chunk.  A chunk holds up to ``_chunk_limit(n)``, about
+4 sqrt(2n) slots, so the ``insert`` memmove and the chunk walk cost alike, and
+a tree with n <= 128 grows in one chunk.  The enumerator grows each history of
+the first n-1 steps, in lexicographic order, and puts the last vertex into each
+entry of that slot list in turn, at its offset in its owner's block: it lists
+the trees in the lexicographic order of their histories.
 
 Both samplers draw through :func:`_below`, from ``rng.getrandbits`` alone:
 the values ``randrange`` and ``shuffle`` draw on CPython 3.11.
@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import math
 import random
-from itertools import accumulate, islice, permutations
+from itertools import accumulate, chain, groupby, islice, permutations
 from typing import Iterable, Iterator
 
 from .tree import PlaneTree
@@ -83,11 +83,13 @@ def _chunk_limit(n: int) -> int:
     return max(256, 4 * math.isqrt(2 * n))
 
 
-def _grow(n: int, draws: Iterable[int]) -> list[list[int]]:
-    """Child lists of the tree grown by an insertion history: the m-th draw
-    k < 2m-1 puts the vertex labeled m+1 into slot k of the tree on 1..m.
-    ``draws`` may stop early; the vertices it never placed stay detached."""
-    # vertex v's block in the slot list is its d+1 slots, v repeated
+def _grow(n: int,
+          draws: Iterable[int]) -> tuple[list[list[int]], list[list[int]]]:
+    """Child lists and slot list of the tree grown by an insertion history:
+    the m-th draw k < 2m-1 puts the vertex labeled m+1 into slot k of the
+    tree on 1..m.  ``draws`` may stop early; the vertices it never placed
+    stay detached.  The slot list is the slots' owners in depth-first order,
+    in chunks: vertex v's block is its d+1 slots, v repeated."""
     kids: list[list[int]] = [[] for _ in range(n + 1)]
     head = [0]
     chunks = [head]
@@ -131,7 +133,7 @@ def _grow(n: int, draws: Iterable[int]) -> list[list[int]]:
             chunk.insert(k + d + 2, m)
             where[m] = chunk
         here.insert(pos, m)
-    return kids
+    return kids, chunks
 
 
 # ---- exhaustive enumeration ----
@@ -176,24 +178,12 @@ def root_one_trees(n: int) -> Iterator[PlaneTree]:
     return _labeled_trees(n, True)
 
 
-def _slots(kids: list[list[int]]) -> list[tuple[int, int]]:
-    # depth-first: vertex v with d children owns positions 0..d among its
-    # children before any slot in its subtrees
-    order = []
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        stack.extend(reversed(kids[v]))
-    return [(v, pos) for v in order for pos in range(len(kids[v]) + 1)]
-
-
 def _increasing_kids(n: int) -> Iterator[list[list[int]]]:
     """Kernel: the children lists of every increasing tree with n edges.
 
     For each history of the first n-1 insertions, in lexicographic order,
     the tree :func:`_grow` makes of it, with the vertex labeled n+1 put
-    into each of its slots in turn (vertex v carries label v+1).  Each
+    into each slot of its slot list in turn (vertex v carries label v+1).  Each
     visit yields mutable lists, valid until the walk resumes.
     """
     if n < 0:
@@ -205,11 +195,13 @@ def _increasing_kids(n: int) -> Iterator[list[list[int]]]:
     # digit m (from 0) has radix 2m+1, and no step holds more than n-1 ints
     history = [0] * (n - 1)
     while True:
-        kids = _grow(n, history)
-        for v, pos in _slots(kids):
-            kids[v].insert(pos, n)
-            yield kids
-            del kids[v][pos]
+        kids, chunks = _grow(n, history)
+        for v, block in groupby(chain.from_iterable(chunks)):
+            here = kids[v]
+            for pos, _ in enumerate(block):
+                here.insert(pos, n)
+                yield kids
+                del here[pos]
         for m in range(n - 2, -1, -1):
             if history[m] < 2 * m:
                 history[m] += 1
@@ -280,7 +272,7 @@ def _random_labeled_tree(n: int, rng: random.Random) -> PlaneTree:
 
 
 def _random_increasing_tree(n: int, rng: random.Random) -> PlaneTree:
-    return build_tree(_grow(n, _below(rng, range(1, 2 * n, 2))))
+    return build_tree(_grow(n, _below(rng, range(1, 2 * n, 2)))[0])
 
 
 def sample_labeled_tree(n: int, seed: int) -> PlaneTree:

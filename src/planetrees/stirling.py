@@ -127,7 +127,7 @@ def tree_to_stirling(tree: PlaneTree) -> tuple[int, ...]:
     if not has_canonical_labels(tree):
         raise ValueError("labels must be exactly 1..n+1")
     if not is_increasing(tree):
-        raise ValueError("not an increasing tree")
+        raise ValueError("input tree is not increasing")
     labels, parents = tree.labels, tree.parents
     word: list[int] = []
     open_: list[int] = []  # the vertices entered and not yet left, root aside

@@ -238,7 +238,7 @@ def test_classify_names_the_position_of_a_label_with_too_many_digits(
     (["bij", "inverse", "-"], "1(2:x)\n2(1)\n1(2)\n", "2(1)\n",
      "input tree is not increasing"),
     (["stirling", "to", "-"], "1(2)\n2(1)\n1(2)\n", "1 1\n",
-     "not an increasing tree"),
+     "input tree is not increasing"),
     (["stirling", "from", "-"], "1 1\n1 2\n1 1\n", "1(2)\n",
      "not a Stirling permutation"),
     (["stirling", "blocks", "-"], "1 1\n1 1 2\n1 1\n", "[1 1]\n",
@@ -250,6 +250,19 @@ def test_a_faulty_stdin_line_ends_the_stage_after_the_lines_before(
     # line 1 is written before line 2 is read; line 3 is never reached
     monkeypatch.setattr(sys, "stdin", io.StringIO(text))
     assert run(capsys, *argv) == (2, out, f"error: {err}\n")
+
+
+def test_both_increasing_readers_name_a_non_increasing_line_alike(
+        capsys, monkeypatch):
+    # bij inverse and stirling to take the same input and refuse the same
+    # fault in the same words
+    errors = []
+    for argv in (["bij", "inverse", "-"], ["stirling", "to", "-"]):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("2(1)\n"))
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        errors.append(err)
+    assert errors[0] == errors[1] == "error: input tree is not increasing\n"
 
 
 class LineOnlyStdin(io.StringIO):

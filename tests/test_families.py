@@ -7,7 +7,7 @@ import random
 import time
 import tracemalloc
 from collections import Counter
-from itertools import product
+from itertools import chain, groupby, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -33,7 +33,7 @@ from planetrees import (
 from planetrees import families
 from planetrees.families import (_below, _chunk_limit, _grow,
                                  _increasing_kids, _random_increasing_tree,
-                                 _random_labeled_tree, _shuffle, _slots)
+                                 _random_labeled_tree, _shuffle, build_tree)
 
 from conftest import Draws
 
@@ -130,11 +130,17 @@ def test_root_one_matches_filtered_labeled():
 
 
 def test_insertion_slots_counts_gaps():
-    # a tree with m edges offers 2m+1 places to hang a new leaf, each once
-    for n in range(5):
-        for kids in _increasing_kids(n):
-            slots = _slots(kids)
-            assert len(slots) == len(set(slots)) == 2 * n + 1
+    # a tree with n edges offers 2n+1 places to hang a new leaf: each
+    # vertex's d+1 positions among its children, one block per vertex, the
+    # blocks in preorder
+    for n in range(6):
+        for history in product(*map(range, range(1, 2 * n, 2))):
+            kids, chunks = _grow(n, history)
+            slots = list(chain.from_iterable(chunks))
+            assert len(slots) == 2 * n + 1
+            blocks = [(v, len(list(block))) for v, block in groupby(slots)]
+            preorder = [label - 1 for label in build_tree(kids).labels]
+            assert blocks == [(v, len(kids[v]) + 1) for v in preorder]
 
 
 def test_increasing_growth_covers_every_slot():
@@ -220,15 +226,17 @@ def test_samplers_read_only_getrandbits():
 @pytest.mark.parametrize("n", [127, 128, 129, 257, 1000, 3000])
 def test_chunk_limit_is_invisible(monkeypatch, n):
     # 10^9 keeps one chunk throughout; a limit of 8 splits chunks from the
-    # fifth step on and leaves blocks too long to split
+    # fifth step on and leaves blocks too long to split; neither the child
+    # lists nor the flattened slot list may tell the limits apart
     for seed in range(3):
         rng = random.Random(seed)
         history = [rng.randrange(stop) for stop in range(1, 2 * n, 2)]
         grown = []
         for limit in (10**9, _chunk_limit(n), 64, 8):
             monkeypatch.setattr(families, "_chunk_limit", lambda n: limit)
-            grown.append(_grow(n, history))
-        assert all(kids == grown[0] for kids in grown), seed
+            kids, chunks = _grow(n, history)
+            grown.append((kids, list(chain.from_iterable(chunks))))
+        assert all(both == grown[0] for both in grown), seed
 
 
 def test_chunk_limit_holds_small_trees_in_one_chunk():
