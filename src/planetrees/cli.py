@@ -67,18 +67,21 @@ def _write_lines(items, *steps) -> int:
 
 
 def _cmd_classify(args) -> int:
-    from .tree import EdgeStatus, _improper_flags, edge_list, parse_tree
+    from .tree import EdgeStatus, _improper_flags, parse_tree
 
     names = {True: EdgeStatus.IMPROPER.value, False: EdgeStatus.PROPER.value}
 
     def record(tree):
+        # one template per tree, filled with (parent, child, status) per edge
+        labels, n = tree.labels, tree.edge_count
         improper = _improper_flags(tree)
         count = sum(improper)
-        edges = zip(edge_list(tree), improper[1:])
-        lines = [f"({parent},{child}): {names[flag]}\n"
-                 for (_, parent, child), flag in edges]
-        lines.append(f"impr={count} prop={tree.edge_count - count}")
-        return "".join(lines)
+        values = [None] * (3 * n)
+        values[0::3] = map(labels.__getitem__, tree.parents[1:])
+        values[1::3] = labels[1:]
+        values[2::3] = map(names.__getitem__, improper[1:])
+        values += count, n - count
+        return ("(%d,%d): %s\n" * n + "impr=%d prop=%d") % tuple(values)
     return _write_lines(_operand_lines(args.tree), parse_tree, record)
 
 
@@ -166,30 +169,29 @@ def _cmd_verify(args) -> int:
 def _cmd_enum(args) -> int:
     from .counting import (MAX_INCREASING_EDGES, MAX_LABELED_EDGES,
                            _require_bound)
-    from .families import (_increasing_kids, _labelings, increasing_trees,
-                           labeled_trees, root_one_trees)
-    from .tree import render_tree
+    from .families import _increasing_kids, _labelings, increasing_trees
+    from .tree import _render_labelings, render_tree
 
-    n, text = args.n, render_tree
+    n = args.n
     if args.family in ("P", "O"):
         _require_bound(n, MAX_LABELED_EDGES, args.force, "labeled trees")
-        rooted = args.family == "O"
-        visits = _labelings(n, rooted)
-        items = root_one_trees(n) if rooted else labeled_trees(n)
+        # the text straight from the kernel, one skeleton per shape
+        visits = _labelings(n, args.family == "O")
+        lines = _render_labelings(visits)
     elif args.family == "I":
         _require_bound(n, MAX_INCREASING_EDGES, args.force, "increasing trees")
         visits = _increasing_kids(n)
-        items = increasing_trees(n)
+        lines = map(render_tree, increasing_trees(n))
     else:
         from .stirling import format_permutation, stirling_permutations
         _require_bound(n, MAX_INCREASING_EDGES, args.force,
                        "Stirling permutations")
-        visits = items = stirling_permutations(n)
-        text = format_permutation
+        visits = stirling_permutations(n)
+        lines = map(format_permutation, visits)
     if args.count_only:
         # count the kernel's visits: every object is visited, none is built
         return _write_lines([str(sum(1 for _ in visits))])
-    return _write_lines(items, text)
+    return _write_lines(lines)
 
 
 def _cmd_sample(args) -> int:

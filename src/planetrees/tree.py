@@ -21,6 +21,10 @@ never produced on output.  A tag annotates the edge from the parent to the
 node it follows, so the root never carries one; a tree is either fully
 tagged or fully untagged.
 
+Tree text is one ``%`` skeleton per shape (``_skeleton``) filled with the
+labels (and tags) in preorder: ``render_tree`` builds one per tree, ``enum``
+one per shape for all its labelings (``_render_labelings``).
+
 An edge (parent, child) is *improper* when the smallest label in the child's
 subtree is smaller than both the parent's label and every label in the
 subtrees of the child's right siblings; otherwise it is *proper*.  The rule
@@ -35,8 +39,9 @@ from __future__ import annotations
 
 import re
 from enum import Enum
-from operator import le
-from typing import NamedTuple, NoReturn
+from itertools import groupby
+from operator import itemgetter, le
+from typing import Iterator, NamedTuple, NoReturn
 
 IMPROPER_TAG = "x"
 PROPER_TAG = "y"
@@ -78,13 +83,16 @@ def _check_handle(labels, parents, edges) -> None:
         raise ValueError("label has too many digits") from None
     if len(set(edges)) != count:
         raise ValueError("repeated edge id")
-    path = []  # the previous vertex and its ancestors
-    for v, p in enumerate(parents):
-        while path and path[-1] != p:
-            path.pop()
-        if (not path) != (p == -1) or (p == -1 and v):
-            raise ValueError("parents must list a tree in preorder")
-        path.append(v)
+    # the previous vertex and its ancestors, over a sentinel -1 that a parent
+    # off the path pops; no sentinel unless -1, the root's, is there once
+    path = [-1] if parents.count(-1) == 1 else []
+    try:
+        for v, p in enumerate(parents):
+            while path[-1] != p:
+                path.pop()
+            path.append(v)
+    except IndexError:
+        raise ValueError("parents must list a tree in preorder") from None
 
 
 class PlaneTree:
@@ -259,26 +267,39 @@ def parse_tree(text: str) -> PlaneTree:
     return PlaneTree._trusted(tuple(labels), tuple(parents), tags=tags)
 
 
-def render_tree(tree: PlaneTree) -> str:
-    """Canonical text: ASCII, no whitespace, children left to right."""
-    labels, parents = tree.labels, tree.parents
-    names = list(map(str, labels))
-    if tree.tags is not None:
-        names[1:] = [f"{name}:{tree.tags[eid]}"
-                     for name, eid in zip(names[1:], tree.edges[1:])]
-    out = [names[0]]
-    depth = [0] * len(labels)
-    for v in range(1, len(labels)):
+def _skeleton(parents: tuple, tagged: bool = False) -> str:
+    """The text of every tree of this shape as a ``%`` template: ``%d`` for
+    each label in preorder, ``%d:%s`` for a label and tag below the root."""
+    slot = "%d:%s" if tagged else "%d"
+    first, later = "(" + slot, "," + slot
+    out = ["%d"]
+    depth = [0] * len(parents)
+    for v in range(1, len(parents)):
         p = parents[v]
         d = depth[v] = depth[p] + 1
-        if p == v - 1:
-            out.append("(")
-        else:
-            # close the groups between the previous vertex and v's parent
-            out.append(")" * (depth[v - 1] - d) + ",")
-        out.append(names[v])
+        # open v's parent, or close the groups between the previous vertex
+        # and v's parent
+        out.append(first if p == v - 1 else ")" * (depth[v - 1] - d) + later)
     out.append(")" * depth[-1])
     return "".join(out)
+
+
+def render_tree(tree: PlaneTree) -> str:
+    """Canonical text: ASCII, no whitespace, children left to right."""
+    if tree.tags is None:
+        return _skeleton(tree.parents) % tree.labels
+    labels = tree.labels
+    values = [labels[0]] * (2 * len(labels) - 1)
+    values[1::2] = labels[1:]
+    values[2::2] = map(tree.tags.__getitem__, tree.edges[1:])
+    return _skeleton(tree.parents, True) % tuple(values)
+
+
+def _render_labelings(visits) -> Iterator[str]:
+    """The text of each ``(parents, labels)`` visit, as ``_labelings``
+    yields them: one skeleton per run of visits sharing a shape."""
+    for shape, run in groupby(visits, itemgetter(0)):
+        yield from map(_skeleton(shape).__mod__, map(itemgetter(1), run))
 
 
 # ---- queries ----

@@ -17,9 +17,13 @@ import planetrees
 from planetrees import (
     ClosedFormReport,
     Polynomial,
+    catalan,
     classify_edge,
     edge_list,
+    labeled_trees,
     parse_tree,
+    render_tree,
+    root_one_trees,
 )
 from planetrees.cli import main
 
@@ -558,6 +562,31 @@ def test_enum_deterministic_order(capsys):
     _, second, _ = run(capsys, "enum", "O", "--n", "3")
     assert first == second
     assert len(first.splitlines()) == 30
+
+
+@pytest.mark.parametrize("family, trees", [("P", labeled_trees),
+                                           ("O", root_one_trees)])
+def test_enum_writes_the_rendered_family(capsys, family, trees):
+    # enum P|O fills one skeleton per shape from the kernel, with no tree
+    # built: line for line what render_tree writes of each public wrapper
+    for n in range(5):
+        code, out, _ = run(capsys, "enum", family, "--n", str(n))
+        assert code == 0
+        assert out.splitlines() == list(map(render_tree, trees(n)))
+
+
+@pytest.mark.parametrize("family", ["P", "O"])
+def test_enum_builds_one_skeleton_per_shape(capsys, monkeypatch, family):
+    shapes = []
+    template = planetrees.tree._skeleton
+
+    def skeleton(parents, tagged=False):
+        shapes.append(parents)
+        return template(parents, tagged)
+
+    monkeypatch.setattr(planetrees.tree, "_skeleton", skeleton)
+    assert run(capsys, "enum", family, "--n", "4")[0] == 0
+    assert len(shapes) == len(set(shapes)) == catalan(4) == 14
 
 
 # ---- sample ----

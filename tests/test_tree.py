@@ -2,6 +2,7 @@
 
 import re
 import time
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -20,6 +21,7 @@ from planetrees import (
     is_increasing,
     labeled_trees,
     parse_tree,
+    plane_shapes,
     render_tree,
     sample_labeled_tree,
     subtree_min,
@@ -382,6 +384,22 @@ def test_repeated_edge_id_is_rejected_where_trees_are_built():
 def test_handle_must_list_a_tree_in_preorder(handle):
     with pytest.raises(ValueError):
         PlaneTree(handle)
+
+
+def test_checked_constructor_takes_exactly_the_preorder_shapes():
+    # every parents tuple of length k <= 6 over -1..k-1 (126,125 of them):
+    # the checked constructor takes it iff it is one of the C_(k-1) shapes
+    for k in range(1, 7):
+        shapes = set(plane_shapes(k - 1))
+        labels, edges = tuple(range(1, k + 1)), tuple(range(-1, k - 1))
+        for parents in product(range(-1, k), repeat=k):
+            try:
+                PlaneTree((labels, parents, edges))
+            except ValueError as exc:
+                assert parents not in shapes, parents
+                assert str(exc) == "parents must list a tree in preorder"
+            else:
+                assert parents in shapes, parents
 
 
 def test_empty_tags_normalize_to_none():
