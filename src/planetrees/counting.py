@@ -1,12 +1,12 @@
-"""Counting that needs no tree: family sizes, the exhaustive bounds, and
-the plane shapes.
+"""Counting that needs no tree: family sizes, the exhaustive bounds, the
+plane shapes and the insertion histories.
 
 Families, for a given number of edges n (labels drawn from 1..n+1):
 
 * labeled plane trees, counted by (n+1)! C_n = 2^n (2n-1)!!,
 * labeled plane trees whose root is labeled 1, counted by n! C_n,
 * increasing plane trees (every edge goes small to large), counted by
-  (2n-1)!!.
+  (2n-1)!!, one per insertion history, as are Stirling permutations.
 
 A shape is the preorder ``parents`` tuple a ``PlaneTree`` stores, so the
 polynomial sums and the enumerators in ``families`` read the same shapes;
@@ -89,3 +89,18 @@ def plane_shapes(n: int) -> Iterator[tuple[int, ...]]:
     while len(levels) < n:
         levels.append(list(_next_level(levels)))
     yield from _next_level(levels) if n else levels[0]
+
+
+def _histories(length: int) -> Iterator[list[int]]:
+    """Every insertion history (k_1, ..., k_length), k_m < 2m-1, in
+    lexicographic order: one list stepped in place, the last digit fastest."""
+    history = [0] * length
+    while True:
+        yield history
+        for m in range(length - 1, -1, -1):
+            if history[m] < 2 * m:
+                history[m] += 1
+                break
+            history[m] = 0
+        else:
+            return

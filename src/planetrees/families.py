@@ -38,9 +38,9 @@ inserts into one chunk with no subtree sizes and no child scans: linear in n
 but for the walk to k's chunk.  A chunk holds up to ``_chunk_limit(n)``, about
 4 sqrt(2n) slots, so the ``insert`` memmove and the chunk walk cost alike, and
 a tree with n <= 128 grows in one chunk.  The enumerator grows each history of
-the first n-1 steps, in lexicographic order, and puts the last vertex into each
-entry of that slot list in turn, at its offset in its owner's block: it lists
-the trees in the lexicographic order of their histories.
+the first n-1 steps, as ``counting``'s odometer steps them in lexicographic
+order, and puts the last vertex into each entry of that slot list in turn, at
+its offset in its owner's block, so it lists the trees in that order.
 
 Both samplers draw through :func:`_below`, from ``rng.getrandbits`` alone:
 the values ``randrange`` and ``shuffle`` draw on CPython 3.11.
@@ -186,15 +186,14 @@ def _increasing_kids(n: int) -> Iterator[list[list[int]]]:
     into each slot of its slot list in turn (vertex v carries label v+1).  Each
     visit yields mutable lists, valid until the walk resumes.
     """
+    from .counting import _histories  # here: the samplers need no counting
+
     if n < 0:
         raise ValueError("n must be >= 0")
     if n == 0:
         yield [[]]
         return
-    # one history stepped in place as an odometer, the last digit fastest:
-    # digit m (from 0) has radix 2m+1, and no step holds more than n-1 ints
-    history = [0] * (n - 1)
-    while True:
+    for history in _histories(n - 1):
         kids, chunks = _grow(n, history)
         for v, block in groupby(chain.from_iterable(chunks)):
             here = kids[v]
@@ -202,13 +201,6 @@ def _increasing_kids(n: int) -> Iterator[list[list[int]]]:
                 here.insert(pos, n)
                 yield kids
                 del here[pos]
-        for m in range(n - 2, -1, -1):
-            if history[m] < 2 * m:
-                history[m] += 1
-                break
-            history[m] = 0
-        else:
-            return
 
 
 def increasing_trees(n: int) -> Iterator[PlaneTree]:

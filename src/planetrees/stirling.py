@@ -14,14 +14,15 @@ word left to right: the first copy of v opens a child labeled v+1, the
 second copy closes it.
 
 That reading is written once, as a private stack walk
-(``_stirling_arrays``) that validates a word in a single pass and returns
-the preorder ``labels`` and ``parents`` of the increasing tree it encodes:
-the first copies of the values come in the walk's preorder, each under the
-vertex open at that point.  :func:`is_stirling`, :func:`blocks`,
-:func:`stirling_to_tree` and :func:`block_table` all read it, and
-:func:`stirling_to_tree` wraps its arrays as they stand.
-:func:`tree_to_stirling` walks the tree's preorder ``parents`` with one
-stack of the open vertices.
+(``_stirling_arrays``) that validates a word in one pass and returns the
+preorder ``labels`` and ``parents`` of the tree it encodes, first copies in
+preorder, each under the vertex open at that point; :func:`is_stirling`,
+:func:`blocks`, :func:`stirling_to_tree` and :func:`block_table` read it.
+:func:`tree_to_stirling` walks the tree's ``parents`` with one stack of the
+open vertices.  A word is also an insertion history: pair m m goes into one
+of the 2m-1 gaps of the word before it, so :func:`stirling_permutations`
+steps ``counting``'s histories of the first n-2 pairs, builds each word
+once, and inserts n-1 n-1 and then n n into every gap.
 """
 
 from __future__ import annotations
@@ -150,28 +151,25 @@ def stirling_to_tree(seq: Sequence[int]) -> PlaneTree:
 
 
 def stirling_permutations(n: int):
-    """All Stirling permutations of order n, built by inserting the pair
-    ``n n`` into every gap of each permutation of order n-1."""
+    """All Stirling permutations of order n, in the lexicographic order of
+    the gaps their pairs went into; one word is held, not one per order."""
+    from .counting import _histories  # here: the walks need no counting
+
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n == 0:
-        yield ()
+    if n < 2:
+        yield (n, n) if n else ()
         return
-    pair = (n, n)
-    # one frame per order m = len(stack): a word of order m-1 and the next
-    # gap to put m m in; the last order's gaps are walked in one loop
-    stack = [[(), 0]]
-    while stack:
-        word, gap = stack[-1]
-        m = len(stack)
-        if m < n and gap <= len(word):
-            stack[-1][1] = gap + 1
-            stack.append([word[:gap] + (m, m) + word[gap:], 0])
-            continue
-        stack.pop()
-        if m == n:
-            for gap in range(2 * n - 1):
-                yield word[:gap] + pair + word[gap:]
+    low, high = (n - 1, n - 1), (n, n)
+    for history in _histories(n - 2):
+        pairs: list[int] = []
+        for m, gap in enumerate(history, 1):
+            pairs[gap:gap] = m, m
+        word = tuple(pairs)
+        for g in range(2 * n - 3):
+            shorter = word[:g] + low + word[g:]
+            for h in range(2 * n - 1):
+                yield shorter[:h] + high + shorter[h:]
 
 
 def block_table(n: int) -> Counter:

@@ -40,7 +40,9 @@ Last come the helpers that only tests need: the edge classifier by the
 minima of two explicit label sets, the five-piece decomposition of a tree
 at one edge, and the Stirling walk as it was before the library's single
 stack walk (a multiplicity check by ``Counter`` and then a stack, blocks by
-a second walk with a ``seen`` set, and decoding through bracket frames).
+a second walk with a ``seen`` set, and decoding through bracket frames),
+and the Stirling enumerator before the shared insertion-history odometer, a
+stack holding one word per order.
 """
 
 from __future__ import annotations
@@ -1124,3 +1126,28 @@ def stirling_to_tree(seq):
             eid += 1
     root_label, root_children = frames[0]
     return flat(NodeTree(Node(root_label, tuple(root_children))))
+
+
+def stirling_permutations(n):
+    """All Stirling permutations of order n, built by inserting the pair
+    ``n n`` into every gap of each permutation of order n-1."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if n == 0:
+        yield ()
+        return
+    pair = (n, n)
+    # one frame per order m = len(stack): a word of order m-1 and the next
+    # gap to put m m in; the last order's gaps are walked in one loop
+    stack = [[(), 0]]
+    while stack:
+        word, gap = stack[-1]
+        m = len(stack)
+        if m < n and gap <= len(word):
+            stack[-1][1] = gap + 1
+            stack.append([word[:gap] + (m, m) + word[gap:], 0])
+            continue
+        stack.pop()
+        if m == n:
+            for gap in range(2 * n - 1):
+                yield word[:gap] + pair + word[gap:]

@@ -31,6 +31,7 @@ from planetrees import (
     stirling_permutations,
 )
 from planetrees import families
+from planetrees.counting import _histories
 from planetrees.families import (_below, _chunk_limit, _grow,
                                  _increasing_kids, _random_increasing_tree,
                                  _random_labeled_tree, _shuffle, build_tree)
@@ -75,6 +76,23 @@ def test_plane_shapes_rejects_negative():
                       increasing_trees, stirling_permutations):
         with pytest.raises(ValueError, match="n must be >= 0"):
             list(generator(-1))
+
+
+def test_histories_walk_every_insertion_history_in_place():
+    # digit m (from 0) stays below 2m+1, the histories strictly increase,
+    # and one list is stepped in place
+    for length in range(7):
+        walk = _histories(length)
+        first = next(walk)
+        seen = [list(first)]
+        for history in walk:
+            assert history is first
+            assert history > seen[-1]
+            seen.append(list(history))
+        assert len(seen) == odd_double_factorial(length)
+        assert all(k < 2 * m + 1 for history in seen
+                   for m, k in enumerate(history))
+    assert list(_histories(0)) == [[]]
 
 
 def test_labeled_trees_golden_sets():

@@ -28,7 +28,9 @@ truncated series flagged, on the true tables and on tables with one
 coefficient bumped; sympy's own series expansion, when sympy is installed,
 must agree.  The single Stirling stack walk must accept, reject and decode
 exactly what the multiplicity check, the second blocks walk and the bracket
-frames did.
+frames did, and the Stirling enumerator on the shared insertion-history
+odometer must list the words the stack of one word per order listed, in
+the same order.
 """
 
 import math
@@ -68,6 +70,7 @@ from planetrees import (
     sample_increasing_tree,
     sample_increasing_trees,
     sample_labeled_tree,
+    stirling_permutations,
     stirling_to_tree,
     to_increasing,
     tree_to_stirling,
@@ -533,6 +536,13 @@ def test_stirling_walk_matches_oracle_on_every_short_word():
 def test_stirling_walk_matches_oracle_on_any_sequence(seq):
     # odd lengths, zeros, third copies and values past n all occur here
     _stirling_like_oracle(tuple(seq))
+
+
+def test_stirling_enumerator_matches_oracle_in_order():
+    # every word of every order up to the exhaustive bound, 135,135 at n = 7
+    for n in range(8):
+        assert (list(stirling_permutations(n))
+                == list(oracle.stirling_permutations(n)))
 
 
 # ---- scale: the shapes that defeat a walk to one fixed end ----

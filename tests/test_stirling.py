@@ -2,6 +2,7 @@
 depth-first-walk bijection."""
 
 import re
+import tracemalloc
 from collections import Counter
 from itertools import permutations
 
@@ -199,6 +200,15 @@ def test_enum_walks_deep_orders_without_recursion():
     # the first word puts each pair in front of the last: n n ... 1 1
     first = next(stirling_permutations(3000))
     assert first == tuple(v for k in range(3000, 0, -1) for v in (k, k))
+    # the first word costs memory in proportion to n: one word is held, not
+    # one per order (about 72 MB were all 3000 of them kept)
+    tracemalloc.start()
+    try:
+        next(stirling_permutations(3000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_enum_is_duplicate_free():
