@@ -128,15 +128,17 @@ def _report(check: str, ok: bool, detail: str = "") -> int:
 def _cmd_verify(args) -> int:
     from .counting import (MAX_INCREASING_EDGES, MAX_LABELED_EDGES,
                            family_count, odd_double_factorial)
-    from .polynomials import (MAX_SERIES_ORDER, _require_order,
-                              edge_status_polynomial, root_degree_polynomial,
-                              verify_closed_forms, verify_egf_identities)
+    from .polynomials import (MAX_SERIES_ORDER, edge_status_polynomial,
+                              root_degree_polynomial, verify_closed_forms,
+                              verify_egf_identities)
 
     order = MAX_SERIES_ORDER if args.order is None else args.order
-    if args.target in ("thm2", "all"):  # refused before any check runs
-        _require_order(order, args.force)
     failures = 0
     started = time.perf_counter()
+    # thm2 runs first, so a bad order is refused before any line is written,
+    # and its lines are written last
+    thm2 = (verify_egf_identities(order, force=args.force)
+            if args.target in ("thm2", "all") else None)
     ns = range(MAX_LABELED_EDGES + 1) if args.n is None else [args.n]
     if args.target in ("counts", "all"):
         for n in ns:
@@ -157,10 +159,9 @@ def _cmd_verify(args) -> int:
                 _write_lines([f"P_{n} = {report.labeled}",
                               f"O_{n} = {report.rooted}"])
             failures += _report(f"thm1 n={n}", report.passed)
-    if args.target in ("thm2", "all"):
-        report = verify_egf_identities(order, force=args.force)
-        for name, ok in (("P", report.labeled_ok), ("O", report.rooted_ok),
-                         ("S", report.degree_ok)):
+    if thm2 is not None:
+        for name, ok in (("P", thm2.labeled_ok), ("O", thm2.rooted_ok),
+                         ("S", thm2.degree_ok)):
             failures += _report(f"thm2 {name} order={order}", ok)
     print(f"elapsed {time.perf_counter() - started:.2f}s", file=sys.stderr)
     return 0 if failures == 0 else 1
@@ -169,7 +170,7 @@ def _cmd_verify(args) -> int:
 def _cmd_enum(args) -> int:
     from .counting import (MAX_INCREASING_EDGES, MAX_LABELED_EDGES,
                            _require_bound)
-    from .families import _increasing_kids, _labelings, increasing_trees
+    from .families import _increasing_kids, _labelings, build_tree
     from .tree import _render_labelings, render_tree
 
     n = args.n
@@ -181,7 +182,7 @@ def _cmd_enum(args) -> int:
     elif args.family == "I":
         _require_bound(n, MAX_INCREASING_EDGES, args.force, "increasing trees")
         visits = _increasing_kids(n)
-        lines = map(render_tree, increasing_trees(n))
+        lines = map(render_tree, map(build_tree, visits))
     else:
         from .stirling import format_permutation, stirling_permutations
         _require_bound(n, MAX_INCREASING_EDGES, args.force,

@@ -28,6 +28,8 @@ MAX_INCREASING_EDGES = 7   # |increasing family| at 7 is 135,135
 
 
 def catalan(n: int) -> int:
+    if n < 0:
+        raise ValueError("n must be >= 0")
     return math.comb(2 * n, n) // (n + 1)
 
 

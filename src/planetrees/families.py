@@ -146,15 +146,13 @@ def _labelings(n: int,
     within a shape, labels are the lexicographic permutations of 1..n+1 by
     preorder vertex, and with ``root_first`` only those with the root
     labeled 1.  One shape tuple is shared by all its labelings; no tree is
-    built.
+    built.  A negative n is refused by :func:`plane_shapes`.
     """
     from .counting import plane_shapes  # here: the samplers need no counting
 
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    # the permutations of 1..n+1 that start with 1 are the first n! of them
-    per_shape = math.factorial(n) if root_first else math.factorial(n + 1)
     for shape in plane_shapes(n):
+        # the permutations of 1..n+1 that start with 1 are the first n!
+        per_shape = math.factorial(n if root_first else n + 1)
         for labels in islice(permutations(range(1, n + 2)), per_shape):
             yield shape, labels
 

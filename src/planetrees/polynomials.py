@@ -397,16 +397,6 @@ def _egf_holds(coeffs: list[Polynomial], c, s, u) -> bool:
     return True
 
 
-def _require_order(order: int, force: bool) -> None:
-    """Refuse a negative series order, and one past the bound unless forced."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    if order > MAX_SERIES_ORDER and not force:
-        raise ValueError(
-            f"order={order} exceeds the default bound {MAX_SERIES_ORDER}; "
-            f"force to run anyway (--force)")
-
-
 def verify_egf_identities(order: int, *, source: str = "auto",
                           force: bool = False) -> EgfReport:
     """Check the three generating-function identities through q^order.
@@ -417,7 +407,12 @@ def verify_egf_identities(order: int, *, source: str = "auto",
     """
     if source not in ("auto", "enumerated", "closed"):
         raise ValueError(f"unknown source {source!r}")
-    _require_order(order, force)
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    if order > MAX_SERIES_ORDER and not force:
+        raise ValueError(
+            f"order={order} exceeds the default bound {MAX_SERIES_ORDER}; "
+            f"force to run anyway (--force)")
     if source == "enumerated" and order > MAX_LABELED_EDGES:
         raise ValueError(
             f"enumerated coefficients stop at order {MAX_LABELED_EDGES}")

@@ -73,9 +73,9 @@ def format_permutation(seq: Sequence[int]) -> str:
 
 def _stirling_arrays(seq: Sequence[int]) -> tuple[list, list] | None:
     """Preorder (labels, parents) of the increasing tree that seq encodes,
-    or None when seq is not a Stirling permutation."""
-    if len(seq) % 2:
-        return None
+    or None when seq is not a Stirling permutation.  With n = len(seq) // 2,
+    each value in 1..n opens once and closes once, so a word of odd length
+    2n+1 is refused at its last value, if not before: no length test."""
     n = len(seq) // 2
     labels, parents = [1], [-1]  # the root's
     at = [0] * (n + 1)  # preorder position of each opened value, 0 if unopened

@@ -33,7 +33,8 @@ from planetrees import (
 from planetrees import families
 from planetrees.counting import _histories
 from planetrees.families import (_below, _chunk_limit, _grow,
-                                 _increasing_kids, _random_increasing_tree,
+                                 _increasing_kids, _labelings,
+                                 _random_increasing_tree,
                                  _random_labeled_tree, _shuffle, build_tree)
 
 from conftest import Draws
@@ -41,6 +42,13 @@ from conftest import Draws
 
 def test_catalan_values():
     assert [catalan(n) for n in range(9)] == [1, 1, 2, 5, 14, 42, 132, 429, 1430]
+
+
+def test_counts_refuse_negative_n_with_the_package_message():
+    # not math.comb's "n must be a non-negative integer"
+    for count in (catalan, family_count):
+        with pytest.raises(ValueError, match="^n must be >= 0$"):
+            count(-1)
 
 
 def test_odd_double_factorial_values():
@@ -71,10 +79,14 @@ def test_shape_count_and_distinctness():
 
 
 def test_plane_shapes_rejects_negative():
-    # as does every other public generator of a family
+    # as does every other public generator of a family; the labeled ones
+    # and their kernel are refused by plane_shapes, before any factorial
+    # (math.factorial(-1) has a message of its own)
     for generator in (plane_shapes, labeled_trees, root_one_trees,
-                      increasing_trees, stirling_permutations):
-        with pytest.raises(ValueError, match="n must be >= 0"):
+                      increasing_trees, stirling_permutations,
+                      lambda n: _labelings(n, False),
+                      lambda n: _labelings(n, True)):
+        with pytest.raises(ValueError, match="^n must be >= 0$"):
             list(generator(-1))
 
 

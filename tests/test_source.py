@@ -179,3 +179,28 @@ def test_package_import_graph():
                             if isinstance(node, ast.ImportFrom)
                             and node.level == 1}
     assert graph == IMPORT_GRAPH
+
+
+# the underscored names each module imports from a sibling; a module not
+# listed imports none.  A private helper gained or lost by a sibling, such
+# as a second copy of a check, shows here
+PRIVATE_IMPORTS = {
+    "cli": {"_improper_flags", "_increasing_kids", "_labelings",
+            "_render_labelings", "_require_bound"},
+    "families": {"_histories"},
+    "involution": {"_edge_position", "_improper_flags"},
+    "polynomials": {"_require_bound"},
+    "stirling": {"_histories"},
+}
+
+
+def test_private_imports_across_modules():
+    graph = {}
+    for path in SOURCES:
+        body = ast.parse(path.read_text(), str(path))
+        names = {alias.name for node in ast.walk(body)
+                 if isinstance(node, ast.ImportFrom) and node.level == 1
+                 for alias in node.names if alias.name.startswith("_")}
+        if names:
+            graph[path.stem] = names
+    assert graph == PRIVATE_IMPORTS

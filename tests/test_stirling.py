@@ -4,7 +4,7 @@ depth-first-walk bijection."""
 import re
 import tracemalloc
 from collections import Counter
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -48,6 +48,19 @@ FOUR_BLOCK_PERM = (6, 6, 3, 4, 5, 5, 4, 3, 1, 1, 2, 7, 7, 2)
 ])
 def test_is_stirling(seq, expect):
     assert is_stirling(seq) is expect
+
+
+def test_odd_lengths_are_refused_by_the_walk():
+    # no length test: of 2n+1 values, the walk refuses the last one read
+    # (out of 1..n, or a third copy) if it refused none before it
+    for length in range(1, 10, 2):
+        for seq in product(range(1, 4), repeat=length):
+            assert not oracle.is_stirling(seq)
+            assert not is_stirling(seq)
+            for decode in (stirling_to_tree, blocks):
+                with pytest.raises(ValueError,
+                                   match="^not a Stirling permutation$"):
+                    decode(seq)
 
 
 def test_text_round_trip():
