@@ -14,7 +14,7 @@ _EXPORTS = {
         "EdgeStatus", "PlaneTree", "TreeParseError", "TreeStats",
         "classify_edge", "edge_id", "edge_list",
         "has_canonical_labels", "improper_edges", "is_increasing",
-        "parse_tree", "render_tree", "subtree_min", "tree_stats",
+        "parse_tree", "render_tree", "tree_stats",
     ),
     "involution": ("flip_edge", "from_increasing", "to_increasing"),
     "counting": (

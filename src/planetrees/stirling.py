@@ -112,12 +112,12 @@ def _checked_arrays(seq: Sequence[int]) -> tuple[list, list]:
 def blocks(seq: Sequence[int]) -> list[tuple[int, int]]:
     """Maximal balanced factors of a Stirling permutation, as half-open
     index ranges."""
-    # a block is one child of the root: it starts at the child's first copy
-    # and ends at its second, and the root's children do not nest
-    labels, parents = _checked_arrays(seq)
-    outer = {label - 1 for label, p in zip(labels, parents) if p == 0}
-    marks = [i for i, v in enumerate(seq) if v in outer]
-    return [(marks[k], marks[k + 1] + 1) for k in range(0, len(marks), 2)]
+    # a block is one root child.  The one at preorder position p opens at
+    # index 2(p-1): the p-1 vertices before it fill earlier blocks with both
+    # copies.  Each block ends where the next opens, the last at len(seq)
+    starts = [2 * p - 2 for p, parent in enumerate(_checked_arrays(seq)[1])
+              if parent == 0]
+    return list(zip(starts, starts[1:] + [len(seq)]))
 
 
 def tree_to_stirling(tree: PlaneTree) -> tuple[int, ...]:

@@ -336,18 +336,6 @@ def edge_id(tree: PlaneTree, parent_label: int, child_label: int) -> int:
         f"no edge ({_named(parent_label)},{_named(child_label)})")
 
 
-def subtree_min(tree: PlaneTree, label: int) -> int:
-    """Smallest label in the subtree rooted at the given vertex."""
-    labels, parents = tree.labels, tree.parents
-    if type(label) is not int or label not in labels:  # True == 1, 1.0 == 1
-        raise ValueError(f"no vertex labeled {_named(label)}")
-    v = end = labels.index(label)
-    # the subtree: v and the run of later positions whose parents lie in it
-    while end + 1 < len(labels) and parents[end + 1] >= v:
-        end += 1
-    return min(labels[v:end + 1])
-
-
 def _improper_flags(tree: PlaneTree) -> list[bool]:
     """Whether the edge into each vertex is improper, by preorder index."""
     labels, parents = tree.labels, tree.parents

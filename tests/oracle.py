@@ -37,8 +37,9 @@ integer binomial convolutions: truncated power series in q with rational
 whole.
 
 Last come the helpers that only tests need: the edge classifier by the
-minima of two explicit label sets, the five-piece decomposition of a tree
-at one edge, and the Stirling walk as it was before the library's single
+minima of two explicit label sets, the subtree minimum of one vertex that
+the library once exported, the five-piece decomposition of a tree at one
+edge, and the Stirling walk as it was before the library's single
 stack walk (a multiplicity check by ``Counter`` and then a stack, blocks by
 a second walk with a ``seen`` set, and decoding through bracket frames),
 and the Stirling enumerator before the shared insertion-history odometer, a
@@ -65,6 +66,7 @@ from planetrees.tree import (
     TAGS,
     PlaneTree,
     TreeParseError,
+    _named,
 )
 
 
@@ -1024,7 +1026,7 @@ def series_egf_flags(tables):
     return labeled_ok, rooted_ok, degree_ok
 
 
-# ---- test-only helpers: a second classifier and the decomposition ----
+# ---- test-only helpers: classifier, subtree minimum, decomposition ----
 
 def classify_edge_by_min_sets(tree, edge):
     """Compare the minimum of the labels weakly below the edge with the
@@ -1038,6 +1040,18 @@ def classify_edge_by_min_sets(tree, edge):
     if min(below) > min(against):
         return EdgeStatus.PROPER
     return EdgeStatus.IMPROPER
+
+
+def subtree_min(tree, label):
+    """Smallest label in the subtree rooted at the given vertex."""
+    labels, parents = tree.labels, tree.parents
+    if type(label) is not int or label not in labels:  # True == 1, 1.0 == 1
+        raise ValueError(f"no vertex labeled {_named(label)}")
+    v = end = labels.index(label)
+    # the subtree: v and the run of later positions whose parents lie in it
+    while end + 1 < len(labels) and parents[end + 1] >= v:
+        end += 1
+    return min(labels[v:end + 1])
 
 
 @dataclass(frozen=True)

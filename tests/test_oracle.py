@@ -524,6 +524,14 @@ def test_stirling_walk_matches_oracle_on_every_arrangement():
     assert render_tree(stirling_to_tree(())) == "1"
 
 
+def test_blocks_match_oracle_on_every_word_of_orders_5_and_6():
+    # the arrangements above stop at order 4; orders 5 and 6 (945 and
+    # 10,395 words) reach blocks through the enumerator
+    for n in (5, 6):
+        for seq in stirling_permutations(n):
+            assert blocks(seq) == oracle.blocks(seq)
+
+
 def test_stirling_walk_matches_oracle_on_every_short_word():
     # every word of length <= 6 over -1..3: third copies such as 1 1 1 1,
     # zeros, negatives, values past n and odd lengths, all of them

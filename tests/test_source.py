@@ -147,7 +147,7 @@ def test_readme_entry_points_are_exported():
                       (ROOT / "README.md").read_text(), re.M)
     assert table
     names = re.findall(r"`(\w+)", table[1])
-    assert len(names) == 24
+    assert len(names) == 23
     assert [name for name in names if not hasattr(planetrees, name)] == []
     assert [name for name in names if name not in planetrees.__all__] == []
 
@@ -192,6 +192,30 @@ PRIVATE_IMPORTS = {
     "polynomials": {"_require_bound"},
     "stirling": {"_histories"},
 }
+
+
+# the public names that no module of the package reads (a name or attribute
+# load, or a relative import; the strings in _EXPORTS do not count) and no
+# file of the benchmark names: only library callers and tests read them,
+# so a helper that only tests need shows here
+LIBRARY_ONLY = {"block_table", "is_stirling", "root_one_trees"}
+
+
+def test_library_only_names():
+    loaded = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)):
+                loaded.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and node.level:
+                loaded.update(alias.name for alias in node.names)
+    bench = {word for path in (ROOT / "perfbench").glob("*.*")
+             for word in re.findall(r"\w+", path.read_text())}
+    assert {name for name in planetrees.__all__
+            if name not in loaded and name not in bench} == LIBRARY_ONLY
 
 
 def test_private_imports_across_modules():

