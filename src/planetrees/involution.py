@@ -43,7 +43,7 @@ from .tree import (
     PlaneTree,
     _edge_position,
     _improper_flags,
-    has_canonical_labels,
+    _require_input,
     is_increasing,
 )
 
@@ -122,10 +122,7 @@ def to_increasing(tree: PlaneTree, rooted: bool = False) -> PlaneTree:
     additionally requires root label 1 and tags the edges at vertex 1
     with t instead of y.
     """
-    if tree.is_tagged:
-        raise ValueError("input tree is already tagged")
-    if not has_canonical_labels(tree):
-        raise ValueError("labels must be exactly 1..n+1")
+    _require_input(tree, tagged=False, increasing=False)
     if rooted and tree.labels[0] != 1:
         raise ValueError("rooted mode requires root label 1")
 
@@ -148,13 +145,7 @@ def from_increasing(tree: PlaneTree) -> PlaneTree:
     Requires an increasing tree on labels 1..n+1 with every edge tagged,
     and tag t either absent or on exactly the root's edges.
     """
-    if not is_increasing(tree):
-        raise ValueError("input tree is not increasing")
-    if not has_canonical_labels(tree):
-        raise ValueError("labels must be exactly 1..n+1")
-    # a tagged tree's tags are keyed by exactly its edge ids
-    if not tree.is_tagged and tree.edge_count:
-        raise ValueError("every edge must carry a tag")
+    _require_input(tree, tagged=True, increasing=True)
     tags = tree.tags or {}
     t_edges = {eid for eid, tag in tags.items() if tag == ROOT_TAG}
     if t_edges and t_edges != {eid for eid, p in zip(tree.edges, tree.parents)

@@ -30,7 +30,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Sequence
 
-from .tree import PlaneTree, has_canonical_labels, is_increasing
+from .tree import PlaneTree, _require_input
 
 
 def parse_permutation(text: str) -> tuple[int, ...]:
@@ -123,12 +123,7 @@ def blocks(seq: Sequence[int]) -> list[tuple[int, int]]:
 def tree_to_stirling(tree: PlaneTree) -> tuple[int, ...]:
     """Depth-first walk of an increasing tree with labels 1..n+1; records
     child label minus one on the way down and again on the way up."""
-    if tree.is_tagged:
-        raise ValueError("expected an untagged tree")
-    if not has_canonical_labels(tree):
-        raise ValueError("labels must be exactly 1..n+1")
-    if not is_increasing(tree):
-        raise ValueError("input tree is not increasing")
+    _require_input(tree, tagged=False, increasing=True)
     labels, parents = tree.labels, tree.parents
     word: list[int] = []
     open_: list[int] = []  # the vertices entered and not yet left, root aside

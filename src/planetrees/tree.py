@@ -387,3 +387,16 @@ def has_canonical_labels(tree: PlaneTree) -> bool:
     """True when the labels are exactly 1..n+1 for a tree with n edges."""
     # against the vertex count: a repeated label shrinks the set, not the count
     return set(tree.labels) == set(range(1, len(tree.labels) + 1))
+
+
+def _require_input(tree: PlaneTree, tagged: bool, increasing: bool) -> None:
+    """Refuse a tree that a bijection cannot read, at its first fault:
+    labels other than 1..n+1, then (if ``increasing``) a decreasing edge,
+    then the wrong tagging, which a tree with no edges never has."""
+    if not has_canonical_labels(tree):
+        raise ValueError("labels must be exactly 1..n+1")
+    if increasing and not is_increasing(tree):
+        raise ValueError("input tree is not increasing")
+    if tree.edge_count and tree.is_tagged != tagged:
+        raise ValueError("every edge must carry a tag" if tagged
+                         else "input tree is already tagged")

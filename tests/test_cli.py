@@ -256,17 +256,34 @@ def test_a_faulty_stdin_line_ends_the_stage_after_the_lines_before(
     assert run(capsys, *argv) == (2, out, f"error: {err}\n")
 
 
+# one stdin line, then what bij forward, bij inverse and stirling to each
+# write for it: a stdout line, or the error on stderr
+READER_LINES = {
+    "3(1)": ("error: labels must be exactly 1..n+1",) * 3,
+    "2(1)": ("1(2:x)", "error: input tree is not increasing",
+             "error: input tree is not increasing"),
+    "1(2:x)": ("error: input tree is already tagged", "2(1)",
+               "error: input tree is already tagged"),
+    "1(2)": ("1(2:y)", "error: every edge must carry a tag", "1 1"),
+    "3(1:x)": ("error: labels must be exactly 1..n+1",) * 3,
+    "2(1:x)": ("error: input tree is already tagged",
+               "error: input tree is not increasing",
+               "error: input tree is not increasing"),
+}
+
+
 def test_both_increasing_readers_name_a_non_increasing_line_alike(
         capsys, monkeypatch):
-    # bij inverse and stirling to take the same input and refuse the same
-    # fault in the same words
-    errors = []
-    for argv in (["bij", "inverse", "-"], ["stirling", "to", "-"]):
-        monkeypatch.setattr(sys, "stdin", io.StringIO("2(1)\n"))
-        code, out, err = run(capsys, *argv)
-        assert (code, out) == (2, "")
-        errors.append(err)
-    assert errors[0] == errors[1] == "error: input tree is not increasing\n"
+    # the three tree readers refuse a line at its first fault, in the order
+    # labels, decreasing edge, tagging, and in the same words
+    readers = (["bij", "forward", "-"], ["bij", "inverse", "-"],
+               ["stirling", "to", "-"])
+    for line, results in READER_LINES.items():
+        for argv, result in zip(readers, results):
+            monkeypatch.setattr(sys, "stdin", io.StringIO(line + "\n"))
+            expected = ((2, "", result + "\n") if result.startswith("error: ")
+                        else (0, result + "\n", ""))
+            assert run(capsys, *argv) == expected, (line, argv)
 
 
 class LineOnlyStdin(io.StringIO):

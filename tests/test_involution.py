@@ -234,10 +234,10 @@ def test_forward_is_injective_onto_tagged_increasing_trees():
 
 
 def test_forward_errors():
-    with pytest.raises(ValueError):
-        to_increasing(parse_tree(FIG_TAGGED))  # already tagged
-    with pytest.raises(ValueError):
-        to_increasing(parse_tree("1(3)"))  # labels not 1..n+1
+    with pytest.raises(ValueError, match="^input tree is already tagged$"):
+        to_increasing(parse_tree(FIG_TAGGED))
+    with pytest.raises(ValueError, match=r"^labels must be exactly 1\.\.n\+1$"):
+        to_increasing(parse_tree("1(3)"))
     with pytest.raises(ValueError):
         to_increasing(parse_tree("2(1)"), rooted=True)  # root must be 1
 
@@ -278,14 +278,14 @@ def test_rooted_mode_tags_and_degree():
 
 
 def test_inverse_errors():
-    with pytest.raises(ValueError):
-        from_increasing(parse_tree("2(1:x)"))  # not increasing
-    with pytest.raises(ValueError):
-        from_increasing(parse_tree("1(2)"))  # untagged edge
+    with pytest.raises(ValueError, match="^input tree is not increasing$"):
+        from_increasing(parse_tree("2(1:x)"))
+    with pytest.raises(ValueError, match="^every edge must carry a tag$"):
+        from_increasing(parse_tree("1(2)"))
     with pytest.raises(ValueError):
         from_increasing(parse_tree("1(2:y(3:t))"))  # t away from the root
-    with pytest.raises(ValueError):
-        from_increasing(parse_tree("2(3:x)"))  # labels not 1..n+1
+    with pytest.raises(ValueError, match=r"^labels must be exactly 1\.\.n\+1$"):
+        from_increasing(parse_tree("2(3:x)"))
     with pytest.raises(ValueError):
         from_increasing(parse_tree("1(2:t,3:y)"))  # t on some root edges only
 

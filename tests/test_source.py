@@ -188,9 +188,9 @@ PRIVATE_IMPORTS = {
     "cli": {"_improper_flags", "_increasing_kids", "_labelings",
             "_render_labelings", "_require_bound"},
     "families": {"_histories"},
-    "involution": {"_edge_position", "_improper_flags"},
+    "involution": {"_edge_position", "_improper_flags", "_require_input"},
     "polynomials": {"_require_bound"},
-    "stirling": {"_histories"},
+    "stirling": {"_histories", "_require_input"},
 }
 
 
@@ -228,3 +228,20 @@ def test_private_imports_across_modules():
         if names:
             graph[path.stem] = names
     assert graph == PRIVATE_IMPORTS
+
+
+def test_reader_messages_live_only_in_tree():
+    # to_increasing, from_increasing and tree_to_stirling refuse a tree
+    # through tree._require_input; a second copy of one of its messages
+    # would be a second copy of the rule
+    messages = {"labels must be exactly 1..n+1",
+                "input tree is not increasing",
+                "input tree is already tagged",
+                "every edge must carry a tag"}
+    found = {}
+    for path in SOURCES:
+        held = {node.value for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.Constant) and node.value in messages}
+        if held:
+            found[path.stem] = held
+    assert found == {"tree": messages}

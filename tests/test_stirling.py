@@ -152,12 +152,12 @@ def test_decode_small():
 
 
 def test_walk_errors():
-    with pytest.raises(ValueError):
-        tree_to_stirling(parse_tree("2(1)"))  # not increasing
-    with pytest.raises(ValueError):
-        tree_to_stirling(parse_tree("1(3)"))  # labels not 1..n+1
-    with pytest.raises(ValueError):
-        tree_to_stirling(parse_tree("1(2:y)"))  # tagged
+    with pytest.raises(ValueError, match="^input tree is not increasing$"):
+        tree_to_stirling(parse_tree("2(1)"))
+    with pytest.raises(ValueError, match=r"^labels must be exactly 1\.\.n\+1$"):
+        tree_to_stirling(parse_tree("1(3)"))
+    with pytest.raises(ValueError, match="^input tree is already tagged$"):
+        tree_to_stirling(parse_tree("1(2:y)"))
     with pytest.raises(ValueError):
         stirling_to_tree((1, 2, 1, 2))
 
