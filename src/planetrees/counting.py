@@ -13,9 +13,9 @@ polynomial sums and the enumerators in ``families`` read the same shapes;
 they are built level by level, each size below n once and size n streamed.
 This module imports nothing from the package: ``verify`` skips the tree layer.
 
-The bounds below are where exhaustive work stops being a desk-scale job;
-the polynomial layer and the command line refuse larger n unless forced,
-both through :func:`_require_bound`.
+Each size is an int >= 0 (:func:`_require_size`).  The bounds below are
+where exhaustive work stops being a desk-scale job; the polynomial layer
+and the command line refuse larger n unless forced (:func:`_require_bound`).
 """
 
 from __future__ import annotations
@@ -27,16 +27,22 @@ MAX_LABELED_EDGES = 6      # |labeled family| at 6 is 665,280
 MAX_INCREASING_EDGES = 7   # |increasing family| at 7 is 135,135
 
 
+def _require_size(value, name: str = "n") -> None:
+    """Refuse a size unless it is an int >= 0 (a bool or a float is not)."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int")
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0")
+
+
 def catalan(n: int) -> int:
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    _require_size(n)
     return math.comb(2 * n, n) // (n + 1)
 
 
 def odd_double_factorial(n: int) -> int:
     """Product of the first n odd numbers, 1 * 3 * ... * (2n-1); 1 for n = 0."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    _require_size(n)
     return math.prod(range(3, 2 * n, 2))
 
 
@@ -60,9 +66,8 @@ def family_count(n: int) -> FamilyCount:
 
 
 def _require_bound(n: int, bound: int, force: bool, what: str) -> None:
-    """Refuse a negative n, and an n past an exhaustive bound unless forced."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    """Refuse a bad size, and an n past an exhaustive bound unless forced."""
+    _require_size(n)
     if n > bound and not force:
         raise ValueError(
             f"n={n} exceeds the exhaustive bound {bound} for {what}; "
@@ -85,8 +90,7 @@ def _next_level(levels: list) -> Iterator[tuple[int, ...]]:
 def plane_shapes(n: int) -> Iterator[tuple[int, ...]]:
     """All plane tree shapes with n edges, as preorder parents tuples (the
     ``parents`` of ``PlaneTree``; ``(-1,)`` for n = 0)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    _require_size(n)
     levels = [[(-1,)]]
     while len(levels) < n:
         levels.append(list(_next_level(levels)))

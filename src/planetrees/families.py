@@ -184,10 +184,10 @@ def _increasing_kids(n: int) -> Iterator[list[list[int]]]:
     into each slot of its slot list in turn (vertex v carries label v+1).  Each
     visit yields mutable lists, valid until the walk resumes.
     """
-    from .counting import _histories  # here: the samplers need no counting
+    # here: the samplers need no counting
+    from .counting import _histories, _require_size
 
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    _require_size(n)
     if n == 0:
         yield [[]]
         return
@@ -279,7 +279,7 @@ def _draws(n: int, seed: int, count: int, draw) -> Iterator[PlaneTree]:
     """``count`` trees ``draw(n, rng)`` from one seeded generator."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    if n < 0:
+    if n < 0:  # counting._require_size, copied: `sample` loads no counting
         raise ValueError("n must be >= 0")
     rng = random.Random(seed)
     for _ in range(count):

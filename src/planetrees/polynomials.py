@@ -68,6 +68,7 @@ from .counting import (
     MAX_INCREASING_EDGES,
     MAX_LABELED_EDGES,
     _require_bound,
+    _require_size,
     odd_double_factorial,
     plane_shapes,
 )
@@ -138,15 +139,10 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, power: int):
-        if power < 0:
-            raise ValueError("negative powers are not defined here")
+        _require_size(power, "power")
         result = Polynomial.constant(1)
-        base = self
-        while power:
-            if power & 1:
-                result = result * base
-            base = base * base
-            power >>= 1
+        for _ in range(power):
+            result = result * self
         return result
 
     def __eq__(self, other):
@@ -297,8 +293,7 @@ def edge_status_closed_form(n: int) -> Polynomial:
 def root_degree_counts(n: int) -> dict[int, int]:
     """Increasing trees with n edges by root degree, by Lagrange inversion
     of their generating function; no enumeration, so any n is fine."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    _require_size(n)
     if n == 0:
         return {0: 1}
     # S[n, r] = r (n-1)! C(2n-r-1, n-r) / 2^(n-r), an exact division
@@ -407,8 +402,7 @@ def verify_egf_identities(order: int, *, source: str = "auto",
     """
     if source not in ("auto", "enumerated", "closed"):
         raise ValueError(f"unknown source {source!r}")
-    if order < 0:
-        raise ValueError("order must be >= 0")
+    _require_size(order, "order")
     if order > MAX_SERIES_ORDER and not force:
         raise ValueError(
             f"order={order} exceeds the default bound {MAX_SERIES_ORDER}; "

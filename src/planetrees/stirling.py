@@ -148,10 +148,10 @@ def stirling_to_tree(seq: Sequence[int]) -> PlaneTree:
 def stirling_permutations(n: int):
     """All Stirling permutations of order n, in the lexicographic order of
     the gaps their pairs went into; one word is held, not one per order."""
-    from .counting import _histories  # here: the walks need no counting
+    # here: the walks need no counting
+    from .counting import _histories, _require_size
 
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    _require_size(n)
     if n < 2:
         yield (n, n) if n else ()
         return

@@ -187,8 +187,11 @@ import json, sys
 import planetrees
 facts = {"loaded": sorted(m for m in sys.modules if m.startswith("planetrees."))}
 listed = dir(planetrees)
-facts["not_in_dir"] = [n for n in planetrees.__all__ if n not in listed]
+facts["not_in_dir"] = [n for n in [*planetrees.__all__, *planetrees._EXPORTS]
+                      if n not in listed]
 facts["loaded_by_dir"] = sorted(m for m in sys.modules if m.startswith("planetrees."))
+facts["tree_is_its_module"] = planetrees.tree is sys.modules["planetrees.tree"]
+facts["loaded_by_tree"] = sorted(m for m in sys.modules if m.startswith("planetrees."))
 namespace = {}
 exec("from planetrees import *", namespace)
 facts["not_bound_by_star"] = [n for n in planetrees.__all__
@@ -202,6 +205,8 @@ def test_package_loads_modules_on_first_use():
     assert proc.returncode == 0, proc.stderr
     facts = json.loads(proc.stdout)
     assert facts == {"loaded": [], "not_in_dir": [], "loaded_by_dir": [],
+                     "tree_is_its_module": True,
+                     "loaded_by_tree": ["planetrees.tree"],
                      "not_bound_by_star": []}
 
 

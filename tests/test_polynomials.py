@@ -11,9 +11,12 @@ from planetrees import (
     T,
     X,
     Y,
+    block_table,
+    catalan,
     edge_status_closed_form,
     edge_status_polynomial,
     family_count,
+    increasing_trees,
     labeled_trees,
     odd_double_factorial,
     plane_shapes,
@@ -23,6 +26,7 @@ from planetrees import (
     root_one_trees,
     rooted_closed_form,
     rooted_edge_status_polynomial,
+    stirling_permutations,
     to_increasing,
     tree_stats,
     verify_closed_forms,
@@ -61,6 +65,11 @@ def test_scalars_are_ints_only():
         Fraction(1, 2) * X
     with pytest.raises(TypeError):
         X + Fraction(1, 2)
+    with pytest.raises(TypeError):
+        X - "a"
+    with pytest.raises(TypeError):
+        "a" - X
+    assert (X == "x") is False
     assert X * 2 == X + X
 
 
@@ -229,6 +238,48 @@ def test_closed_forms_reject_negative_n():
                         rooted_closed_form, root_degree_closed_form):
         with pytest.raises(ValueError, match="n must be >= 0"):
             closed_form(-1)
+
+
+def _listed(generator):
+    return lambda n: list(generator(n))
+
+
+# every public function that takes a size, with the name it refuses it by; a
+# generator checks its n on the first step, so these run theirs
+SIZED = {
+    "catalan": ("n", catalan),
+    "odd_double_factorial": ("n", odd_double_factorial),
+    "family_count": ("n", family_count),
+    "plane_shapes": ("n", _listed(plane_shapes)),
+    "labeled_trees": ("n", _listed(labeled_trees)),
+    "root_one_trees": ("n", _listed(root_one_trees)),
+    "increasing_trees": ("n", _listed(increasing_trees)),
+    "stirling_permutations": ("n", _listed(stirling_permutations)),
+    "block_table": ("n", block_table),
+    "root_degree_counts": ("n", root_degree_counts),
+    "edge_status_polynomial": ("n", edge_status_polynomial),
+    "rooted_edge_status_polynomial": ("n", rooted_edge_status_polynomial),
+    "root_degree_polynomial": ("n", root_degree_polynomial),
+    "edge_status_closed_form": ("n", edge_status_closed_form),
+    "rooted_closed_form": ("n", rooted_closed_form),
+    "root_degree_closed_form": ("n", root_degree_closed_form),
+    "verify_closed_forms": ("n", verify_closed_forms),
+    "verify_egf_identities": ("order", verify_egf_identities),
+    "Polynomial.__pow__": ("power", lambda power: X ** power),
+}
+
+
+@pytest.mark.parametrize("function", SIZED)
+def test_sizes_are_whole_numbers(function):
+    # a bool, a float or a str is not an int, as in the tree layer: 2.5 is
+    # not read as 3 edges, nor True as 1
+    name, call = SIZED[function]
+    for value in (2.5, 2.0, True, False, "2"):
+        with pytest.raises(ValueError, match=f"^{name} must be an int$"):
+            call(value)
+    with pytest.raises(ValueError, match=f"^{name} must be >= 0$"):
+        call(-1)
+    call(2)
 
 
 # ---- series ----

@@ -187,10 +187,10 @@ def test_package_import_graph():
 PRIVATE_IMPORTS = {
     "cli": {"_improper_flags", "_increasing_kids", "_labelings",
             "_render_labelings", "_require_bound"},
-    "families": {"_histories"},
+    "families": {"_histories", "_require_size"},
     "involution": {"_edge_position", "_improper_flags", "_require_input"},
-    "polynomials": {"_require_bound"},
-    "stirling": {"_histories", "_require_input"},
+    "polynomials": {"_require_bound", "_require_size"},
+    "stirling": {"_histories", "_require_input", "_require_size"},
 }
 
 
@@ -245,3 +245,35 @@ def test_reader_messages_live_only_in_tree():
         if held:
             found[path.stem] = held
     assert found == {"tree": messages}
+
+
+def test_size_rule_lives_only_in_require_size():
+    # every size argument (an n, an order, a power) is refused through
+    # counting._require_size; families._draws keeps a sign check of its
+    # own, as `sample` loads no counting (tests/test_imports.py::LAYERS)
+    def functions(path):
+        body = ast.parse(path.read_text(), str(path))
+        return [(f"{path.stem}.{node.name}", node) for node in ast.walk(body)
+                if isinstance(node, ast.FunctionDef)]
+
+    everything = [pair for path in SOURCES for pair in functions(path)]
+    sizes = {"n", "order", "power"} | {
+        node.args.args[0].arg for name, node in everything
+        if name == "counting._require_size"}
+
+    def compares_a_size_with_zero(test):
+        for node in ast.walk(test):
+            if isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+                if ({getattr(o, "id", None) for o in operands} & sizes
+                        and any(type(getattr(o, "value", None)) is int
+                                and o.value == 0 for o in operands)):
+                    return True
+        return False
+
+    found = {name for name, function in everything
+             for node in ast.walk(function)
+             if isinstance(node, ast.If)
+             and any(isinstance(s, ast.Raise) for s in node.body)
+             and compares_a_size_with_zero(node.test)}
+    assert found == {"counting._require_size", "families._draws"}

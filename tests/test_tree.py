@@ -58,6 +58,7 @@ def test_whitespace_ignored():
 def test_str_matches_render(fig_labeled):
     tree = parse_tree(fig_labeled)
     assert str(tree) == render_tree(tree)
+    assert repr(tree) == f"PlaneTree({render_tree(tree)!r})"
 
 
 FAULTS = [
@@ -152,6 +153,7 @@ def test_equality_is_structural():
     assert parse_tree("1(2(3))") != parse_tree("1(2,3)")
     assert parse_tree("1(2:x)") != parse_tree("1(2:y)")
     assert parse_tree("1(2:x)") != parse_tree("1(2)")
+    assert (parse_tree("1") == "1") is False
 
 
 # ---- edge identity ----
