@@ -3,6 +3,7 @@
 The families (labeled plane trees, those whose root is labeled 1, and
 increasing plane trees), their sizes, the exhaustive bounds and the shapes
 live in ``counting``, which needs no tree; this module builds the trees.
+Every size, an n or a sampler's count, is refused by ``counting``'s one rule.
 
 Each family is enumerated by a private kernel that visits every object in
 place and builds nothing: ``_labelings`` yields a shape with each labeling,
@@ -53,6 +54,7 @@ import random
 from itertools import accumulate, chain, groupby, islice, permutations
 from typing import Iterable, Iterator
 
+from .counting import _histories, _require_size, plane_shapes
 from .tree import PlaneTree
 
 
@@ -146,10 +148,8 @@ def _labelings(n: int,
     within a shape, labels are the lexicographic permutations of 1..n+1 by
     preorder vertex, and with ``root_first`` only those with the root
     labeled 1.  One shape tuple is shared by all its labelings; no tree is
-    built.  A negative n is refused by :func:`plane_shapes`.
+    built.  A bad n is refused by :func:`plane_shapes`.
     """
-    from .counting import plane_shapes  # here: the samplers need no counting
-
     for shape in plane_shapes(n):
         # the permutations of 1..n+1 that start with 1 are the first n!
         per_shape = math.factorial(n if root_first else n + 1)
@@ -184,9 +184,6 @@ def _increasing_kids(n: int) -> Iterator[list[list[int]]]:
     into each slot of its slot list in turn (vertex v carries label v+1).  Each
     visit yields mutable lists, valid until the walk resumes.
     """
-    # here: the samplers need no counting
-    from .counting import _histories, _require_size
-
     _require_size(n)
     if n == 0:
         yield [[]]
@@ -277,10 +274,10 @@ def sample_increasing_tree(n: int, seed: int) -> PlaneTree:
 
 def _draws(n: int, seed: int, count: int, draw) -> Iterator[PlaneTree]:
     """``count`` trees ``draw(n, rng)`` from one seeded generator."""
-    if count < 1:
+    if type(count) is int and count < 1:
         raise ValueError("count must be >= 1")
-    if n < 0:  # counting._require_size, copied: `sample` loads no counting
-        raise ValueError("n must be >= 0")
+    _require_size(count, "count")
+    _require_size(n)
     rng = random.Random(seed)
     for _ in range(count):
         yield draw(n, rng)

@@ -62,9 +62,13 @@ class EdgeStatus(Enum):
     IMPROPER = "improper"
 
 
-def _check_handle(labels, parents, edges) -> None:
-    """Reject arrays that are not one preorder tree with distinct positive
-    int labels and distinct int edge ids."""
+def _check_handle(root) -> tuple[tuple, tuple, tuple]:
+    """A handle's three arrays, refused unless they are one preorder tree
+    with distinct positive int labels and distinct int edge ids."""
+    try:
+        labels, parents, edges = map(tuple, root)
+    except (TypeError, ValueError):  # not three sequences: refused below
+        labels = parents = edges = ()
     count = len(labels)
     # the parser's rule, for parents and edge ids as for the labels below: a
     # bool, a float or a str is not an int
@@ -93,6 +97,7 @@ def _check_handle(labels, parents, edges) -> None:
             path.append(v)
     except IndexError:
         raise ValueError("parents must list a tree in preorder") from None
+    return labels, parents, edges
 
 
 class PlaneTree:
@@ -109,12 +114,10 @@ class PlaneTree:
     __slots__ = ("labels", "parents", "edges", "tags")
 
     def __init__(self, root: tuple, tags: dict[int, str] | None = None):
-        labels, parents, edges = map(tuple, root)
-        _check_handle(labels, parents, edges)
-        self.labels, self.parents, self.edges = labels, parents, edges
+        self.labels, self.parents, self.edges = _check_handle(root)
         # an empty tag map carries no information: normalize it away
         self.tags = dict(tags) if tags else None
-        if self.tags and self.tags.keys() != set(edges[1:]):
+        if self.tags and self.tags.keys() != set(self.edges[1:]):
             raise ValueError("every edge must carry a tag")
         if self.tags and not all(map(TAGS.__contains__, self.tags.values())):
             raise ValueError("every tag must be x, y, or t")

@@ -309,8 +309,11 @@ def test_single_sample_is_the_first_draw(one, many):
         with pytest.raises(ValueError, match="n must be >= 0"):
             sampler()
     for count in (0, -3):  # checked before n
-        with pytest.raises(ValueError, match="count must be >= 1"):
+        with pytest.raises(ValueError, match="^count must be >= 1$"):
             list(many(-1, 0, count))
+    for count in (2.5, True, "1"):  # not read as 2 or 1 trees
+        with pytest.raises(ValueError, match="^count must be an int$"):
+            list(many(2, 0, count))
 
 
 def test_increasing_sampler_at_scale():

@@ -48,7 +48,8 @@ LAYERS = {
     "phi": {"planetrees.involution", "planetrees.tree"},
     "bij": {"planetrees.involution", "planetrees.tree"},
     "stirling": {"planetrees.stirling", "planetrees.tree"},
-    "sample": {"planetrees.families", "planetrees.tree"},
+    "sample": {"planetrees.counting", "planetrees.families",
+               "planetrees.tree"},
     "verify": {"planetrees.counting", "planetrees.polynomials"},
 }
 

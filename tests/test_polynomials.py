@@ -26,6 +26,10 @@ from planetrees import (
     root_one_trees,
     rooted_closed_form,
     rooted_edge_status_polynomial,
+    sample_increasing_tree,
+    sample_increasing_trees,
+    sample_labeled_tree,
+    sample_labeled_trees,
     stirling_permutations,
     to_increasing,
     tree_stats,
@@ -266,6 +270,12 @@ SIZED = {
     "verify_closed_forms": ("n", verify_closed_forms),
     "verify_egf_identities": ("order", verify_egf_identities),
     "Polynomial.__pow__": ("power", lambda power: X ** power),
+    "sample_labeled_tree": ("n", lambda n: sample_labeled_tree(n, 0)),
+    "sample_increasing_tree": ("n", lambda n: sample_increasing_tree(n, 0)),
+    "sample_labeled_trees": (
+        "n", lambda n: list(sample_labeled_trees(n, 0, 2))),
+    "sample_increasing_trees": (
+        "n", lambda n: list(sample_increasing_trees(n, 0, 2))),
 }
 
 

@@ -249,8 +249,7 @@ def test_reader_messages_live_only_in_tree():
 
 def test_size_rule_lives_only_in_require_size():
     # every size argument (an n, an order, a power) is refused through
-    # counting._require_size; families._draws keeps a sign check of its
-    # own, as `sample` loads no counting (tests/test_imports.py::LAYERS)
+    # counting._require_size
     def functions(path):
         body = ast.parse(path.read_text(), str(path))
         return [(f"{path.stem}.{node.name}", node) for node in ast.walk(body)
@@ -276,4 +275,4 @@ def test_size_rule_lives_only_in_require_size():
              if isinstance(node, ast.If)
              and any(isinstance(s, ast.Raise) for s in node.body)
              and compares_a_size_with_zero(node.test)}
-    assert found == {"counting._require_size", "families._draws"}
+    assert found == {"counting._require_size"}

@@ -381,9 +381,18 @@ def test_repeated_edge_id_is_rejected_where_trees_are_built():
     ((1, 2), (-1, -1), (-1, 0)),                  # two roots
     ((1, 2), (-1, 1), (-1, 0)),                   # a vertex is its own parent
     ((1, 2, 3, 4), (-1, 0, 0, 1), (-1, 0, 1, 2)),  # 2's subtree is split
+    (1, 2, 3),                                    # not three sequences
+    None,                                         # not a handle at all
+    ((1,), (-1,)),                                # two arrays
+    ((1,), (-1,), (-1,), ()),                     # four arrays
 ])
 def test_handle_must_list_a_tree_in_preorder(handle):
-    with pytest.raises(ValueError):
+    # what is not three sequences gets the message for unequal arrays
+    three = (isinstance(handle, tuple) and len(handle) == 3
+             and isinstance(handle[0], tuple))
+    with pytest.raises(ValueError, match=None if three else (
+            "^a tree needs equally long labels, int parents and int edge "
+            "ids$")):
         PlaneTree(handle)
 
 
