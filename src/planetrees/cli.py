@@ -175,7 +175,8 @@ def _cmd_enum(args) -> int:
 
     n = args.n
     if args.family in ("P", "O"):
-        _require_bound(n, MAX_LABELED_EDGES, args.force, "labeled trees")
+        what = "labeled" if args.family == "P" else "root-1"
+        _require_bound(n, MAX_LABELED_EDGES, args.force, f"{what} trees")
         # the text straight from the kernel, one skeleton per shape
         visits = _labelings(n, args.family == "O")
         lines = _render_labelings(visits)

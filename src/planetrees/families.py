@@ -3,7 +3,7 @@
 The families (labeled plane trees, those whose root is labeled 1, and
 increasing plane trees), their sizes, the exhaustive bounds and the shapes
 live in ``counting``, which needs no tree; this module builds the trees.
-Every size, an n or a sampler's count, is refused by ``counting``'s one rule.
+An n, a sampler's count and its seed are refused by ``counting``'s size rule.
 
 Each family is enumerated by a private kernel that visits every object in
 place and builds nothing: ``_labelings`` yields a shape with each labeling,
@@ -278,6 +278,7 @@ def _draws(n: int, seed: int, count: int, draw) -> Iterator[PlaneTree]:
         raise ValueError("count must be >= 1")
     _require_size(count, "count")
     _require_size(n)
+    _require_size(seed, "seed")
     rng = random.Random(seed)
     for _ in range(count):
         yield draw(n, rng)

@@ -51,9 +51,9 @@ holds through q^order when A_0 = 1 and, for 1 <= N <= order,
 drawing coefficients from enumeration, from the closed forms, or from both.
 
 Everything here is exact integer arithmetic on polynomials in x, y and t,
-with no series and no rationals (:class:`Polynomial` takes int scalars
-only).  This is deliberately not a general computer-algebra layer; three
-fixed variables and evaluation at scalars is all the identities need.
+with no series and no rationals (:class:`Polynomial` takes int scalars only,
+not a bool).  This is deliberately not a general computer-algebra layer;
+three fixed variables and evaluation at scalars is all the identities need.
 """
 
 from __future__ import annotations
@@ -80,10 +80,10 @@ class Polynomial:
     """Sparse exact polynomial in x, y and t.
 
     Terms live in a read-only mapping keyed by exponent triples;
-    coefficients are ints, the only scalars arithmetic accepts, and zero
-    coefficients are never stored.  Instances are immutable, so a sum the
-    module memoizes is handed out as it is: no caller can change it under
-    the next one.
+    coefficients are ints, and zero coefficients are never stored.  The
+    only scalars arithmetic accepts are ints, not bools, all read by
+    ``_coerce``.  Instances are immutable, so a sum the module memoizes is
+    handed out as it is: no caller can change it under the next one.
     """
 
     __slots__ = ("coeffs",)
@@ -111,7 +111,7 @@ class Polynomial:
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial({k: -v for k, v in self.coeffs.items()})
+        return self * -1
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -126,9 +126,8 @@ class Polynomial:
         return other + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return Polynomial({k: v * other for k, v in self.coeffs.items()})
-        if not isinstance(other, Polynomial):
+        other = _coerce(other)
+        if other is NotImplemented:
             return NotImplemented
         out: dict = defaultdict(int)
         for (a1, b1, c1), v1 in self.coeffs.items():
@@ -189,7 +188,7 @@ class Polynomial:
 def _coerce(value):
     if isinstance(value, Polynomial):
         return value
-    if isinstance(value, int):
+    if type(value) is int:
         return Polynomial.constant(value)
     return NotImplemented
 

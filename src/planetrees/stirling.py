@@ -74,14 +74,14 @@ def format_permutation(seq: Sequence[int]) -> str:
 def _stirling_arrays(seq: Sequence[int]) -> tuple[list, list] | None:
     """Preorder (labels, parents) of the increasing tree that seq encodes,
     or None when seq is not a Stirling permutation.  With n = len(seq) // 2,
-    each value in 1..n opens once and closes once, so a word of odd length
-    2n+1 is refused at its last value, if not before: no length test."""
+    each value, an int in 1..n (not a bool), opens once and closes once,
+    so an odd length fails at its last value if not before: no length test."""
     n = len(seq) // 2
     labels, parents = [1], [-1]  # the root's
     at = [0] * (n + 1)  # preorder position of each opened value, 0 if unopened
     stack = [0]  # the root, then the values opened and not yet closed
     for v in seq:
-        if not 1 <= v <= n:
+        if type(v) is not int or not 1 <= v <= n:
             return None
         top = stack[-1]
         if v == top:

@@ -475,12 +475,17 @@ def test_verify_bound_without_force(capsys):
     ["enum", "P", "--n", "7"],
     ["enum", "I", "--n", "8"],
     ["enum", "stirling", "--n", "8"],
+    ["enum", "O", "--n", "7"],
 ])
 def test_bound_refusals_name_the_flag(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert re.fullmatch(r"error: \S+ exceeds the \w+ bound \d+.*; "
                         r"force to run anyway \(--force\)\n", err)
+    if argv[:2] == ["enum", "O"]:
+        # O is the root-1 family, as rooted_edge_status_polynomial says
+        assert err == ("error: n=7 exceeds the exhaustive bound 6 for root-1 "
+                       "trees; force to run anyway (--force)\n")
 
 
 @pytest.mark.parametrize("order, message", [
@@ -625,11 +630,17 @@ def test_sample_rejects_bad_count(capsys):
     assert code == 2 and "error:" in err
 
 
-@pytest.mark.parametrize("family", ["P", "I"])
-def test_sample_rejects_negative_n(capsys, family):
-    code, out, err = run(capsys, "sample", family, "--n", "-1")
+@pytest.mark.parametrize("family, flags, message", [
+    ("P", ["--n", "-1"], "n must be >= 0"),
+    ("I", ["--n", "-1"], "n must be >= 0"),
+    ("P", ["--n", "3", "--seed", "-5"], "seed must be >= 0"),
+    ("I", ["--n", "3", "--seed", "-5"], "seed must be >= 0"),
+], ids=["P", "I", "seed-P", "seed-I"])
+def test_sample_rejects_negative_n(capsys, family, flags, message):
+    # a negative seed is refused, not drawn as its absolute value
+    code, out, err = run(capsys, "sample", family, *flags)
     assert code == 2 and out == ""
-    assert err == "error: n must be >= 0\n"
+    assert err == f"error: {message}\n"
 
 
 # ---- the CLI as a separate process ----

@@ -75,6 +75,12 @@ def test_scalars_are_ints_only():
         "a" - X
     assert (X == "x") is False
     assert X * 2 == X + X
+    # a bool is not an int here either: X + True is not x + 1
+    for scalar_op in (lambda: X + True, lambda: True + X, lambda: X * True,
+                      lambda: True * X, lambda: X - True, lambda: True - X):
+        with pytest.raises(TypeError):
+            scalar_op()
+    assert -X == X * -1
 
 
 def test_zero_handling():
@@ -276,15 +282,23 @@ SIZED = {
         "n", lambda n: list(sample_labeled_trees(n, 0, 2))),
     "sample_increasing_trees": (
         "n", lambda n: list(sample_increasing_trees(n, 0, 2))),
+    "sample_labeled_tree(seed)": (
+        "seed", lambda seed: sample_labeled_tree(2, seed)),
+    "sample_increasing_tree(seed)": (
+        "seed", lambda seed: sample_increasing_tree(2, seed)),
+    "sample_labeled_trees(seed)": (
+        "seed", lambda seed: list(sample_labeled_trees(2, seed, 2))),
+    "sample_increasing_trees(seed)": (
+        "seed", lambda seed: list(sample_increasing_trees(2, seed, 2))),
 }
 
 
 @pytest.mark.parametrize("function", SIZED)
 def test_sizes_are_whole_numbers(function):
-    # a bool, a float or a str is not an int, as in the tree layer: 2.5 is
-    # not read as 3 edges, nor True as 1
+    # a bool, a float, a str or None is not an int, as in the tree layer:
+    # 2.5 is not read as 3 edges, nor True as 1, nor a None seed as the clock
     name, call = SIZED[function]
-    for value in (2.5, 2.0, True, False, "2"):
+    for value in (2.5, 2.0, True, False, "2", None):
         with pytest.raises(ValueError, match=f"^{name} must be an int$"):
             call(value)
     with pytest.raises(ValueError, match=f"^{name} must be >= 0$"):

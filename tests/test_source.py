@@ -248,15 +248,15 @@ def test_reader_messages_live_only_in_tree():
 
 
 def test_size_rule_lives_only_in_require_size():
-    # every size argument (an n, an order, a power) is refused through
-    # counting._require_size
+    # every size argument (an n, an order, a power, a seed) is refused
+    # through counting._require_size
     def functions(path):
         body = ast.parse(path.read_text(), str(path))
         return [(f"{path.stem}.{node.name}", node) for node in ast.walk(body)
                 if isinstance(node, ast.FunctionDef)]
 
     everything = [pair for path in SOURCES for pair in functions(path)]
-    sizes = {"n", "order", "power"} | {
+    sizes = {"n", "order", "power", "seed"} | {
         node.args.args[0].arg for name, node in everything
         if name == "counting._require_size"}
 
@@ -276,3 +276,15 @@ def test_size_rule_lives_only_in_require_size():
              and any(isinstance(s, ast.Raise) for s in node.body)
              and compares_a_size_with_zero(node.test)}
     assert found == {"counting._require_size"}
+
+
+def test_plain_int_rule_is_written_with_type():
+    # a size, a label, a scalar or a Stirling value is an int and not a bool,
+    # so each test is `type(x) is int`: isinstance(True, int) holds
+    found = [f"{path.name}:{node.lineno}" for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Call)
+             and ast.unparse(node.func) == "isinstance"
+             and len(node.args) == 2 and ast.unparse(node.args[1]) == "int"]
+    assert SOURCES
+    assert found == []

@@ -45,9 +45,18 @@ FOUR_BLOCK_PERM = (6, 6, 3, 4, 5, 5, 4, 3, 1, 1, 2, 7, 7, 2)
     ((1, 2, 2, 1), True),
     ((2, 1, 1, 2), False),     # 1's sit between the two 2's
     ((2, 1, 2, 1), False),
+    ((True, True), False),     # a bool is not an int
+    ((1, True), False),
+    ((1.0, 1.0), False),       # nor is a float or a str
+    (("1", "1"), False),
 ])
 def test_is_stirling(seq, expect):
     assert is_stirling(seq) is expect
+    if not expect:
+        for decode in (stirling_to_tree, blocks):
+            with pytest.raises(ValueError,
+                               match="^not a Stirling permutation$"):
+                decode(seq)
 
 
 def test_odd_lengths_are_refused_by_the_walk():
